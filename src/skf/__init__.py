@@ -3,14 +3,14 @@
 The filter propagates three objects per step: a center estimate, a
 covariance for the Gaussian error component, and an ellipsoidal bound on
 the set of possible means. Ellipsoid calculus (trace-minimal outer
-bounds of Minkowski sums) drives the set part; a per-step scalar
-optimization balances the two uncertainty kinds in the gain.
+bounds of Minkowski sums, computed on shape matrices) drives the set
+part; a per-step scalar optimization balances the two uncertainty kinds
+in the gain, weighted by ``FilterConfig.eta``, the filter's only setting.
 """
 
 from .ellipsoid import (
     DegenerateEllipsoidError,
     Ellipsoid,
-    EllipsoidSum,
     affine_image,
     contains,
     pair_sum_shape,
@@ -58,7 +58,6 @@ __all__ = [
     "AnalyticJacobians",
     "DegenerateEllipsoidError",
     "Ellipsoid",
-    "EllipsoidSum",
     "ExperimentConfig",
     "ExperimentError",
     "FilterConfig",

@@ -29,7 +29,7 @@ from .experiments import (
     example2_config,
     run_trials,
     scaled_config,
-    sensitivity_sweep,
+    sweep_row,
 )
 from .filter import FilterError
 from .validation import run_all
@@ -131,37 +131,39 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _workers() -> int:
+    """Worker count from ``SKF_THREADS`` (default 1); malformed values exit 2."""
     env = os.environ.get("SKF_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env:
         return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        print(f"skf: error: SKF_THREADS must be an integer, got {env!r}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
+    workers = _workers()
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
 
     if args.command == "sweep":
         scales = [float(s) for s in args.scales.split(",")]
-        table = sensitivity_sweep(cfg, scales)
-        batches = []
-        for scale in scales:
-            scaled = scaled_config(cfg, scale)
-            batches.append(run_trials(scaled, workers=_workers()))
+        configs = [scaled_config(cfg, scale) for scale in scales]
+        batches = [run_trials(scaled, workers=workers) for scaled in configs]
         summary = {
             "command": "sweep",
             "scales": scales,
-            "sweep_table": table,
+            "sweep_table": [sweep_row(s, batch[0]) for s, batch in zip(scales, batches)],
             "per_scale": {
-                repr(scale): aggregate(batch, scaled_config(cfg, scale))
-                for scale, batch in zip(scales, batches)
+                repr(scale): aggregate(batch, scaled)
+                for scale, batch, scaled in zip(scales, batches, configs)
             },
         }
     else:
-        batches = [run_trials(cfg, workers=_workers())]
+        batches = [run_trials(cfg, workers=workers)]
         summary = aggregate(batches[0], cfg)
         summary["command"] = args.command
 

@@ -4,15 +4,22 @@ An ellipsoid is represented by its center c and a symmetric positive
 semi-definite shape matrix S as {x : (x - c)^T S^{-1} (x - c) <= 1}.
 This module provides affine images, membership tests, and the
 trace-minimal ellipsoidal outer bound of a Minkowski sum of ellipsoids.
+The sum bounds work on shape matrices alone: the center of a sum is the
+sum of the centers, so callers that track centers add them directly.
+
+``_scale_tol`` is the one symmetry/PSD tolerance of the package.
+``_as_shape_matrix`` and ``_psd_eigmin`` apply it; the filter's
+conditioning step reuses both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-TOL_SYM = 1e-10  # max absolute asymmetry tolerated in a shape matrix
+TOL_SYM = 1e-10  # asymmetry / PSD deficit tolerated at unit scale
 EPS_PD = 1e-12  # smallest eigenvalue below which a shape counts as degenerate
 EPS_TRACE = 1e-14  # trace below which a summand counts as a single point
 
@@ -27,8 +34,11 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def _scale_tol(m: np.ndarray) -> float:
-    # TOL_SYM at unit scale, proportionally looser for large matrices where
-    # rounding alone produces deviations ~ eps * |entries|
+    """TOL_SYM at unit scale, proportionally looser for large matrices.
+
+    Float products of symmetric factors carry asymmetry and negative
+    spectrum ~ eps * |entries|; deviations beyond this bound are bugs.
+    """
     return TOL_SYM * max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
 
 
@@ -42,8 +52,16 @@ def _as_shape_matrix(shape, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"shape matrix is {s.shape[0]}x{s.shape[0]}, expected {dim}x{dim}")
     asym = float(np.max(np.abs(s - s.T))) if s.size else 0.0
     if asym > _scale_tol(s):
-        raise ValueError(f"shape matrix asymmetry {asym:.3e} exceeds {_scale_tol(s):.3e}")
+        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {_scale_tol(s):.3e}")
     return symmetrize(s)
+
+
+def _psd_eigmin(s: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric shape; rejects negative spectrum."""
+    eigmin = float(np.linalg.eigvalsh(s)[0]) if s.size else 0.0
+    if eigmin < -_scale_tol(s):
+        raise ValueError(f"matrix is not PSD (min eigenvalue {eigmin:.3e})")
+    return eigmin
 
 
 @dataclass(frozen=True)
@@ -65,9 +83,7 @@ class Ellipsoid:
         if center.ndim != 1:
             raise ValueError("center must be a vector")
         shape = _as_shape_matrix(self.shape, dim=center.size)
-        eigmin = float(np.linalg.eigvalsh(shape)[0]) if shape.size else 0.0
-        if eigmin < -_scale_tol(shape):
-            raise ValueError(f"shape matrix is not PSD (min eigenvalue {eigmin:.3e})")
+        eigmin = _psd_eigmin(shape)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_eigmin", eigmin)
@@ -79,26 +95,6 @@ class Ellipsoid:
     @property
     def degenerate(self) -> bool:
         return self._eigmin < EPS_PD
-
-
-@dataclass(frozen=True)
-class EllipsoidSum:
-    """An ordered family of ellipsoids standing for their Minkowski sum."""
-
-    terms: tuple[Ellipsoid, ...]
-
-    def __post_init__(self):
-        terms = tuple(self.terms)
-        if len(terms) < 1:
-            raise ValueError("a sum needs at least one term")
-        dim = terms[0].dim
-        if any(t.dim != dim for t in terms):
-            raise ValueError("all terms of a sum must share one dimension")
-        object.__setattr__(self, "terms", terms)
-
-    @property
-    def dim(self) -> int:
-        return self.terms[0].dim
 
 
 def affine_image(e: Ellipsoid, a, b=None) -> Ellipsoid:
@@ -155,24 +151,31 @@ def pair_sum_shape(s1, s2, beta: float) -> np.ndarray:
     return symmetrize((1.0 + 1.0 / beta) * s1 + (1.0 + beta) * s2)
 
 
-def trace_min_sum(s: EllipsoidSum) -> Ellipsoid:
-    """Trace-minimal ellipsoidal outer bound of a Minkowski sum.
+def trace_min_sum(shapes: Sequence) -> np.ndarray:
+    """Shape of the trace-minimal outer bound of a Minkowski sum.
 
-    The center is the sum of the term centers. The shape is
+    Takes the shape matrices of the terms and returns
     ``(sum_k sqrt(tr S_k)) * (sum_k S_k / sqrt(tr S_k))`` over the terms
-    with positive trace; zero-trace terms are points and shift only the
-    center. A single term is returned unchanged.
+    with positive trace; zero-trace terms are points and add nothing. The
+    center of the bound is the sum of the term centers, left to the
+    caller. A single term is returned unchanged (symmetrized). Every term
+    must be square, of one dimension, and symmetric and PSD within
+    ``_scale_tol``; otherwise ``ValueError`` is raised.
     """
-    terms = s.terms
-    center = np.sum([t.center for t in terms], axis=0)
+    if len(shapes) < 1:
+        raise ValueError("a sum needs at least one term")
+    first = _as_shape_matrix(shapes[0])
+    terms = [first] + [_as_shape_matrix(s, dim=first.shape[0]) for s in shapes[1:]]
+    for t in terms:
+        _psd_eigmin(t)
     if len(terms) == 1:
-        return terms[0]
-    live = [t.shape for t in terms if float(np.trace(t.shape)) > EPS_TRACE]
+        return first
+    live = [t for t in terms if float(np.trace(t)) > EPS_TRACE]
     if not live:
-        return Ellipsoid(center, np.zeros((s.dim, s.dim)))
+        return np.zeros_like(first)
     roots = [np.sqrt(float(np.trace(m))) for m in live]
     shape = sum(roots) * sum(m / r for m, r in zip(live, roots))
-    return Ellipsoid(center, symmetrize(shape))
+    return symmetrize(shape)
 
 
 def sample_boundary(e: Ellipsoid, count: int, seed: int) -> np.ndarray:

@@ -593,23 +593,24 @@ def scaled_config(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
     )
 
 
+def sweep_row(scale: float, records: list[TrialRecord]) -> dict:
+    """Max and median posterior semi-axis of one trial run at ``scale``."""
+    axes = [largest_semi_axis(r.skf_shape) for r in records]
+    return {
+        "scale": float(scale),
+        "max_semi_axis": float(np.max(axes)),
+        "median_semi_axis": float(np.median(axes)),
+    }
+
+
 def sensitivity_sweep(base: ExperimentConfig, scales) -> list[dict]:
     """Largest-semi-axis statistics as the bounded inputs are scaled.
 
     Each scale multiplies the semi-axes of the bounded process and
-    measurement ellipsoids; one seeded trial is run per scale and the
-    max and median posterior semi-axis over the run are reported.
+    measurement ellipsoids; trial 0 is run per scale and summarized by
+    ``sweep_row``.
     """
-    rows = []
-    for scale in scales:
-        cfg = scaled_config(base, float(scale))
-        records = run_trial(cfg, trial=0)
-        axes = [largest_semi_axis(r.skf_shape) for r in records]
-        rows.append(
-            {
-                "scale": float(scale),
-                "max_semi_axis": float(np.max(axes)),
-                "median_semi_axis": float(np.median(axes)),
-            }
-        )
-    return rows
+    return [
+        sweep_row(scale, run_trial(scaled_config(base, float(scale)), trial=0))
+        for scale in scales
+    ]

@@ -11,7 +11,10 @@ chosen each step by minimizing a weighted total-uncertainty cost
     J(beta) = (1 - eta) tr C_plus(beta) + eta tr S_plus(beta).
 
 At eta = 0 the center and covariance recursions coincide exactly with
-the extended Kalman filter.
+the extended Kalman filter. ``FilterConfig`` carries eta alone. Every
+propagated covariance and shape passes through ``_condition``, which
+checks symmetry and PSD against the package tolerance and floors the
+spectrum (at ``COV_FLOOR`` for covariances, at zero for shapes).
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ from typing import Literal
 
 import numpy as np
 
-from .ellipsoid import EPS_TRACE, Ellipsoid, EllipsoidSum, symmetrize, trace_min_sum
+from .ellipsoid import (
+    EPS_TRACE,
+    Ellipsoid,
+    _as_shape_matrix,
+    _psd_eigmin,
+    _scale_tol,
+    symmetrize,
+    trace_min_sum,
+)
 from .model import (
     Linearization,
     NonlinearModel,
@@ -31,18 +42,9 @@ from .model import (
 )
 from .optimizer import OptimizerError, ScalarProblem, minimize_scalar
 
-HYGIENE_TOL = 1e-10  # asymmetry / PD deficits beyond this are treated as bugs
-COV_FLOOR_DEFAULT = 1e-14
-
-# Diagnostic counter: number of times a covariance had to be lifted back
-# onto the PD cone. Reset freely; long runs with tiny measurement noise
-# can underflow positive definiteness in floating point.
-cov_floor_events = 0
-
-
-def reset_floor_counter() -> None:
-    global cov_floor_events
-    cov_floor_events = 0
+# Smallest eigenvalue a propagated covariance keeps; long runs with tiny
+# measurement noise can underflow positive definiteness in floating point.
+COV_FLOOR = 1e-14
 
 
 class FilterError(RuntimeError):
@@ -82,15 +84,13 @@ class StateBelief:
             raise ValueError(f"kind must be 'prior' or 'posterior', got {self.kind!r}")
         for name, mat in (("cov", cov), ("shape", shape)):
             asym = float(np.max(np.abs(mat - mat.T)))
-            if asym > _hygiene_bound(mat):
-                raise ValueError(
-                    f"{name} asymmetry {asym:.3e} exceeds {_hygiene_bound(mat):.3e}"
-                )
+            if asym > _scale_tol(mat):
+                raise ValueError(f"{name} asymmetry {asym:.3e} exceeds {_scale_tol(mat):.3e}")
         cov = symmetrize(cov)
         shape = symmetrize(shape)
         if float(np.linalg.eigvalsh(cov)[0]) <= 0.0:
             raise ValueError("cov must be strictly positive-definite")
-        if float(np.linalg.eigvalsh(shape)[0]) < -_hygiene_bound(shape):
+        if float(np.linalg.eigvalsh(shape)[0]) < -_scale_tol(shape):
             raise ValueError("shape must be positive semi-definite")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "cov", cov)
@@ -107,22 +107,13 @@ class StateBelief:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Weighting and beta-search settings for the update step."""
+    """Update-step setting: the weight eta of the set term in the cost."""
 
     eta: float = 0.5
-    beta_bracket: tuple[float, float] = (-20.0, 20.0)
-    beta_tol: float = 1e-8
-    max_iters: int = 200
-    cov_floor: float = COV_FLOOR_DEFAULT
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        lo, hi = self.beta_bracket
-        if not lo < hi:
-            raise ValueError("beta_bracket must satisfy lo < hi")
-        if not self.beta_tol > 0:
-            raise ValueError("beta_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -136,41 +127,21 @@ class GainReport:
     trace_shape: float
 
 
-def _hygiene_bound(mat: np.ndarray) -> float:
-    # 1e-10 at unit scale; proportionally looser for large matrices, where
-    # float products of symmetric factors carry asymmetry ~ eps * |entries|.
-    return HYGIENE_TOL * max(1.0, float(np.max(np.abs(mat))))
+def _condition(mat: np.ndarray, floor: float, step: int, what: str) -> np.ndarray:
+    """Symmetrize and lift the spectrum to ``floor``; loud failure beyond tolerance.
 
-
-def _condition_cov(mat: np.ndarray, floor: float, step: int, what: str) -> np.ndarray:
-    """Symmetrize and floor a covariance; loud failure beyond hygiene tolerance."""
-    global cov_floor_events
-    bound = _hygiene_bound(mat)
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > bound:
-        raise NumericsError(f"{what} asymmetry {asym:.3e} exceeds {bound:.3e}", step)
-    mat = symmetrize(mat)
-    eigmin = float(np.linalg.eigvalsh(mat)[0])
-    if eigmin < -bound:
-        raise NumericsError(f"{what} min eigenvalue {eigmin:.3e} below -{bound:.3e}", step)
+    Asymmetry or negative spectrum beyond ``_scale_tol`` raises
+    ``NumericsError``. Below that, a smallest eigenvalue under ``floor`` is
+    lifted by a diagonal shift to 1.001 * floor; shapes pass ``floor=0``,
+    which shifts exactly by -eigmin.
+    """
+    try:
+        mat = _as_shape_matrix(mat)
+        eigmin = _psd_eigmin(mat)
+    except ValueError as err:
+        raise NumericsError(f"{what}: {err}", step) from err
     if eigmin < floor:
         mat = mat + (1.001 * floor - eigmin) * np.eye(mat.shape[0])
-        cov_floor_events += 1
-    return mat
-
-
-def _condition_psd(mat: np.ndarray, step: int, what: str) -> np.ndarray:
-    """Symmetrize a shape matrix and clamp rounding-level negative spectrum."""
-    bound = _hygiene_bound(mat)
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > bound:
-        raise NumericsError(f"{what} asymmetry {asym:.3e} exceeds {bound:.3e}", step)
-    mat = symmetrize(mat)
-    eigmin = float(np.linalg.eigvalsh(mat)[0])
-    if eigmin < -bound:
-        raise NumericsError(f"{what} min eigenvalue {eigmin:.3e} below -{bound:.3e}", step)
-    if eigmin < 0.0:
-        mat = mat - eigmin * np.eye(mat.shape[0])
     return mat
 
 
@@ -191,21 +162,19 @@ def skf_predict(
 
     c_u = np.atleast_2d(np.asarray(m.process_noise_cov(k), dtype=float))
     cov = f_x @ belief.cov @ f_x.T + f_w @ c_u @ f_w.T
-    cov = _condition_cov(cov, COV_FLOOR_DEFAULT, k, "predicted cov")
+    cov = _condition(cov, COV_FLOOR, k, "predicted cov")
 
     w0, a0, _, _ = m.zero_disturbances(k)
     center = np.atleast_1d(np.asarray(m.f(belief.center, u, w0, a0, k), dtype=float))
     if not np.all(np.isfinite(center)):
         raise FilterError(f"predicted center is not finite: {center}", k)
 
-    n = m.state_dim
-    terms = [Ellipsoid(np.zeros(n), symmetrize(f_x @ belief.shape @ f_x.T))]
+    terms = [symmetrize(f_x @ belief.shape @ f_x.T)]
     for i, provider in enumerate(m.ubb_process_shapes):
         s_i = np.atleast_2d(np.asarray(provider(k), dtype=float))
         f_ai = lin.f_a[i]
-        terms.append(Ellipsoid(np.zeros(n), symmetrize(f_ai @ s_i @ f_ai.T)))
-    shape = trace_min_sum(EllipsoidSum(tuple(terms))).shape
-    shape = _condition_psd(shape, k, "predicted shape")
+        terms.append(symmetrize(f_ai @ s_i @ f_ai.T))
+    shape = _condition(trace_min_sum(terms), 0.0, k, "predicted shape")
 
     return StateBelief(center, cov, shape, "prior", k)
 
@@ -325,17 +294,12 @@ def skf_update(
         # Cost independent of beta: the gain is exactly the EKF gain.
         gain = skf_gain(belief, lin, cfg, beta_star)
     elif prior_set_live and meas_set_live:
-        problem = ScalarProblem(
-            objective=cost,
-            bracket=cfg.beta_bracket,
-            tol=cfg.beta_tol,
-            max_iters=cfg.max_iters,
-        )
+        problem = ScalarProblem(objective=cost)
         try:
             beta_star, _, _ = minimize_scalar(problem)
         except OptimizerError as err:
             raise FilterError(
-                f"beta search failed on bracket {cfg.beta_bracket}: {err}", k
+                f"beta search failed on bracket {problem.bracket}: {err}", k
             ) from err
         gain = skf_gain(belief, lin, cfg, beta_star)
     else:
@@ -356,8 +320,8 @@ def skf_update(
 
     cov_plus, t_prior, t_meas = _update_terms(belief, lin, gain)
     shape_plus = _pair_shape(t_prior, t_meas, beta_star)
-    cov_plus = _condition_cov(cov_plus, cfg.cov_floor, k, "updated cov")
-    shape_plus = _condition_psd(shape_plus, k, "updated shape")
+    cov_plus = _condition(cov_plus, COV_FLOOR, k, "updated cov")
+    shape_plus = _condition(shape_plus, 0.0, k, "updated shape")
 
     cost_at_star = (1.0 - eta) * float(np.trace(cov_plus)) + eta * float(
         np.trace(shape_plus)

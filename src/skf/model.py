@@ -121,7 +121,7 @@ class NonlinearModel:
 class Linearization:
     """First-order expansion of a model at a requested center.
 
-    ``linearize_process`` fills the process part (f_x, f_w, f_a, u_tilde);
+    ``linearize_process`` fills the process part (f_x, f_w, f_a);
     ``linearize_measurement`` the measurement part, along with the step's
     measurement noise matrices so downstream gain algebra has everything
     it needs in one place.
@@ -130,11 +130,9 @@ class Linearization:
     f_x: np.ndarray | None = None
     f_w: np.ndarray | None = None
     f_a: tuple[np.ndarray, ...] = ()
-    u_tilde: np.ndarray | None = None
     h_x: np.ndarray | None = None
     h_v: np.ndarray | None = None
     h_b: np.ndarray | None = None
-    z_tilde_at: Callable | None = None
     meas_noise_cov: np.ndarray | None = None
     meas_ubb_shape: np.ndarray | None = None
 
@@ -165,14 +163,14 @@ def linearize_process(
 ) -> Linearization:
     """Expand the process map about (x_center, u, w=0, a=0).
 
-    Returns f_x, f_w, each f_a_i, and the affine remainder
-    u_tilde = f(x_center, u, 0, 0) - f_x @ x_center.
+    Returns f_x, f_w and each f_a_i. The process value at the expansion
+    point must be finite.
     """
     x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
     if x_center.size != m.state_dim:
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
     w0, a0, _, _ = m.zero_disturbances(k)
-    f0 = _check_finite(m.f(x_center, u, w0, a0, k), "process value", k)
+    _check_finite(m.f(x_center, u, w0, a0, k), "process value", k)
 
     jac = m.jacobians
     if jac is not None and jac.f_x is not None:
@@ -201,8 +199,7 @@ def linearize_process(
             f_ai = central_jacobian(_f_of_ai, a0[i])
         f_a.append(f_ai)
 
-    u_tilde = f0 - f_x @ x_center
-    return Linearization(f_x=f_x, f_w=f_w, f_a=tuple(f_a), u_tilde=u_tilde)
+    return Linearization(f_x=f_x, f_w=f_w, f_a=tuple(f_a))
 
 
 def linearize_measurement(m: NonlinearModel, x_center: np.ndarray, k: int) -> Linearization:
@@ -229,15 +226,10 @@ def linearize_measurement(m: NonlinearModel, x_center: np.ndarray, k: int) -> Li
     else:
         h_b = central_jacobian(lambda b: np.atleast_1d(m.h(x_center, v0, b, k)), b0)
 
-    def z_tilde_at(xc, _h_x=h_x):
-        xc = np.atleast_1d(np.asarray(xc, dtype=float))
-        return np.atleast_1d(m.h(xc, v0, b0, k)) - _h_x @ xc
-
     return Linearization(
         h_x=h_x,
         h_v=h_v,
         h_b=h_b,
-        z_tilde_at=z_tilde_at,
         meas_noise_cov=np.atleast_2d(np.asarray(m.meas_noise_cov(k), dtype=float)),
         meas_ubb_shape=np.atleast_2d(np.asarray(m.ubb_meas_shape(k), dtype=float)),
     )

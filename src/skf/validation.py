@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ellipsoid
-from .ellipsoid import Ellipsoid, EllipsoidSum
+from .ellipsoid import Ellipsoid
 from .experiments import example1_config, run_trial
 from .filter import FilterConfig, StateBelief, skf_gain
 from .model import Linearization
@@ -118,7 +118,8 @@ def check_sum_containment(
             terms.append(
                 Ellipsoid(rng.standard_normal(n), random_spd(rng, n, scale=0.5))
             )
-        bound = ellipsoid.trace_min_sum(EllipsoidSum(tuple(terms)))
+        bound_center = np.sum([t.center for t in terms], axis=0)
+        bound_shape = ellipsoid.trace_min_sum([t.shape for t in terms])
         points = np.zeros((draws, n))
         for t in terms:
             radius = rng.uniform(size=draws) ** (1.0 / n)  # interior and boundary
@@ -127,8 +128,8 @@ def check_sum_containment(
             direction /= np.linalg.norm(direction, axis=1)[:, None]
             chol = np.linalg.cholesky(t.shape)
             points += t.center + (radius[:, None] * direction) @ chol.T
-        d = points - bound.center
-        q = np.einsum("ij,ij->i", d, np.linalg.solve(bound.shape, d.T).T)
+        d = points - bound_center
+        q = np.einsum("ij,ij->i", d, np.linalg.solve(bound_shape, d.T).T)
         worst = max(worst, float(q.max()))
         if worst > 1.0 + 1e-9:
             return CheckResult(
@@ -150,13 +151,9 @@ def check_pair_closed_form(cases: int = 50, seed: int = 1) -> CheckResult:
         s1 = random_spd(rng, n)
         s2 = random_spd(rng, n)
         beta = math.sqrt(np.trace(s1) / np.trace(s2))
-        bound = ellipsoid.trace_min_sum(
-            EllipsoidSum(
-                (Ellipsoid(np.zeros(n), s1), Ellipsoid(np.zeros(n), s2))
-            )
-        )
+        bound = ellipsoid.trace_min_sum([s1, s2])
         direct = ellipsoid.pair_sum_shape(s1, s2, beta)
-        worst = max(worst, float(np.max(np.abs(bound.shape - direct))))
+        worst = max(worst, float(np.max(np.abs(bound - direct))))
     passed = worst <= 1e-10
     return CheckResult(
         "pair-bound-closed-form", passed, f"max elementwise gap {worst:.3e}"

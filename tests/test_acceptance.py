@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from skf.cli import main
-from skf.ellipsoid import Ellipsoid, EllipsoidSum, pair_sum_shape, trace_min_sum
+from skf.ellipsoid import Ellipsoid, pair_sum_shape, trace_min_sum
 from skf.experiments import (
     _crossing_stats,
     example1_config,
@@ -78,7 +78,8 @@ def test_criterion_2_minkowski_containment():
             Ellipsoid(rng.standard_normal(n), random_spd(rng, n, scale=0.5))
             for _ in range(count)
         )
-        bound = trace_min_sum(EllipsoidSum(terms))
+        center = np.sum([t.center for t in terms], axis=0)
+        shape = trace_min_sum([t.shape for t in terms])
         draws = 10_000
         points = np.zeros((draws, n))
         for t in terms:
@@ -88,8 +89,8 @@ def test_criterion_2_minkowski_containment():
             direction /= np.linalg.norm(direction, axis=1)[:, None]
             chol = np.linalg.cholesky(t.shape)
             points += t.center + (radius[:, None] * direction) @ chol.T
-        d = points - bound.center
-        q = np.einsum("ij,ij->i", d, np.linalg.solve(bound.shape, d.T).T)
+        d = points - center
+        q = np.einsum("ij,ij->i", d, np.linalg.solve(shape, d.T).T)
         worst = max(worst, float(q.max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1.0 + 1e-9 and elapsed < 30.0
@@ -105,24 +106,18 @@ def test_criterion_3_trace_optimality_and_pair_closed_form():
         n = int(rng.integers(1, 5))
         count = int(rng.integers(2, 5))
         shapes = [random_spd(rng, n) for _ in range(count)]
-        bound = trace_min_sum(
-            EllipsoidSum(tuple(Ellipsoid(np.zeros(n), s) for s in shapes))
-        )
+        bound = trace_min_sum(shapes)
         traces = np.array([np.trace(s) for s in shapes])
         alphas = rng.dirichlet(np.ones(count), size=1000)
         family = (traces / alphas).sum(axis=1)
-        worst_gap = max(worst_gap, float(np.trace(bound.shape) - family.min()))
+        worst_gap = max(worst_gap, float(np.trace(bound) - family.min()))
     pair_gap = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 5))
         s1, s2 = random_spd(rng, n), random_spd(rng, n)
         beta = np.sqrt(np.trace(s1) / np.trace(s2))
-        bound = trace_min_sum(
-            EllipsoidSum((Ellipsoid(np.zeros(n), s1), Ellipsoid(np.zeros(n), s2)))
-        )
-        pair_gap = max(
-            pair_gap, float(np.max(np.abs(bound.shape - pair_sum_shape(s1, s2, beta))))
-        )
+        bound = trace_min_sum([s1, s2])
+        pair_gap = max(pair_gap, float(np.max(np.abs(bound - pair_sum_shape(s1, s2, beta)))))
     ok = worst_gap <= 1e-9 and pair_gap <= 1e-10
     announce(
         "3 trace-optimality", ok, f"family gap {worst_gap:.3e}, pair gap {pair_gap:.3e}"

@@ -6,8 +6,10 @@ import json
 import pytest
 
 import skf.ellipsoid
+import skf.experiments
 import skf.validation
 from skf.cli import main
+from skf.experiments import example2_config, sensitivity_sweep
 from skf.validation import (
     check_eta_zero_reduction,
     check_gain_stationarity,
@@ -119,15 +121,38 @@ class TestSweepCommand:
         assert (out / "trials.csv").exists()
         assert (out / "manifest.json").exists()
 
+    def test_sweep_runs_each_trial_once(self, tmp_path, monkeypatch):
+        # the table reuses trial 0 of each scale's batch instead of rerunning it
+        calls = []
+        original = skf.experiments.run_trial
+
+        def counting(cfg, trial=0):
+            calls.append(trial)
+            return original(cfg, trial)
+
+        monkeypatch.setattr(skf.experiments, "run_trial", counting)
+        out = tmp_path / "sweep"
+        args = ["sweep", "--trials", "1", "--steps", "20", "--scales", "0,1,10"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert calls == [0, 0, 0]
+        monkeypatch.undo()
+        table = json.loads((out / "summary.json").read_text())["sweep_table"]
+        expected = sensitivity_sweep(example2_config(trials=1, steps=20), [0.0, 1.0, 10.0])
+        assert table == expected
+
 
 class TestWorkerEnv:
-    def test_thread_cap_parsing(self, monkeypatch, tmp_path):
+    def test_thread_cap_parsing(self, monkeypatch, tmp_path, capsys):
         from skf.cli import _workers
 
         monkeypatch.setenv("SKF_THREADS", "3")
         assert _workers() == 3
         monkeypatch.setenv("SKF_THREADS", "junk")
-        assert _workers() == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["example1", "--trials", "1", "--steps", "2", "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert "SKF_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
         monkeypatch.delenv("SKF_THREADS")
         assert _workers() == 1
         monkeypatch.setenv("SKF_THREADS", "2")
@@ -156,9 +181,8 @@ class TestValidateCommand:
         # intentional fault: shrink the bound; containment sampling must fail
         original = skf.ellipsoid.trace_min_sum
 
-        def corrupted(s):
-            out = original(s)
-            return skf.ellipsoid.Ellipsoid(out.center, 0.5 * out.shape)
+        def corrupted(shapes):
+            return 0.5 * original(shapes)
 
         monkeypatch.setattr(skf.ellipsoid, "trace_min_sum", corrupted)
         result = check_sum_containment(families=5, draws=500)

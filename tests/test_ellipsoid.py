@@ -11,7 +11,6 @@ import pytest
 from skf.ellipsoid import (
     DegenerateEllipsoidError,
     Ellipsoid,
-    EllipsoidSum,
     affine_image,
     contains,
     pair_sum_shape,
@@ -136,59 +135,61 @@ class TestPairSumShape:
             pair_sum_shape(np.eye(2), np.eye(2), 0.0)
 
 
+def random_terms(rng, n, count):
+    """Random ellipsoids plus their sum's center, for containment checks."""
+    terms = [Ellipsoid(rng.standard_normal(n), random_spd(rng, n)) for _ in range(count)]
+    return terms, np.sum([t.center for t in terms], axis=0)
+
+
 class TestTraceMinSum:
     def test_two_unit_balls(self):
-        s = EllipsoidSum((Ellipsoid(np.zeros(2), np.eye(2)), Ellipsoid(np.zeros(2), np.eye(2))))
-        out = trace_min_sum(s)
-        assert np.allclose(out.shape, 4.0 * np.eye(2), atol=1e-14)
+        out = trace_min_sum([np.eye(2), np.eye(2)])
+        assert np.allclose(out, 4.0 * np.eye(2), atol=1e-14)
 
     def test_centers_add(self):
+        # the bound of member sums is centered on the sum of the centers
         rng = np.random.default_rng(2)
-        s = EllipsoidSum(
-            (
-                Ellipsoid([1.0, 2.0], random_spd(rng, 2)),
-                Ellipsoid([3.0, -1.0], random_spd(rng, 2)),
-            )
-        )
-        assert np.allclose(trace_min_sum(s).center, [4.0, 1.0])
+        terms = [
+            Ellipsoid([1.0, 2.0], random_spd(rng, 2)),
+            Ellipsoid([3.0, -1.0], random_spd(rng, 2)),
+        ]
+        shape = trace_min_sum([t.shape for t in terms])
+        bound = Ellipsoid(np.sum([t.center for t in terms], axis=0), shape)
+        assert np.allclose(bound.center, [4.0, 1.0])
+        assert contains(bound, terms[0].center + terms[1].center)
 
     def test_pair_matches_grid_oracle(self):
-        s = EllipsoidSum(
-            (Ellipsoid(np.zeros(2), np.diag([4.0, 1.0])), Ellipsoid(np.zeros(2), np.eye(2)))
-        )
-        out = trace_min_sum(s)
-        assert np.allclose(np.diag(out.shape), [9.11096096, 4.21359436], atol=1e-7)
+        out = trace_min_sum([np.diag([4.0, 1.0]), np.eye(2)])
+        assert np.allclose(np.diag(out), [9.11096096, 4.21359436], atol=1e-7)
 
     def test_single_term_unchanged(self):
-        e = Ellipsoid([1.0], [[5.0]])
-        out = trace_min_sum(EllipsoidSum((e,)))
-        assert out is e
+        s = np.array([[5.0]])
+        out = trace_min_sum([s])
+        assert np.array_equal(out, s)
 
     def test_zero_trace_terms_shift_center_only(self):
-        s = EllipsoidSum(
-            (
-                Ellipsoid([1.0, 1.0], np.zeros((2, 2))),
-                Ellipsoid([0.0, 0.0], np.eye(2)),
-            )
-        )
-        out = trace_min_sum(s)
-        assert np.allclose(out.center, [1.0, 1.0])
-        assert np.allclose(out.shape, np.eye(2))
+        # a zero-trace term is a point: it adds nothing to the shape
+        out = trace_min_sum([np.zeros((2, 2)), np.eye(2)])
+        assert np.allclose(out, np.eye(2))
 
     def test_all_zero_terms_give_point(self):
-        s = EllipsoidSum(
-            (
-                Ellipsoid([1.0], np.zeros((1, 1))),
-                Ellipsoid([2.0], np.zeros((1, 1))),
-            )
-        )
-        out = trace_min_sum(s)
-        assert out.center[0] == 3.0
-        assert np.all(out.shape == 0.0)
+        out = trace_min_sum([np.zeros((1, 1)), np.zeros((1, 1))])
+        assert out.shape == (1, 1)
+        assert np.all(out == 0.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            EllipsoidSum((Ellipsoid(0.0, 1.0), Ellipsoid([0.0, 0.0], np.eye(2))))
+        with pytest.raises(ValueError, match="expected"):
+            trace_min_sum([np.eye(1), np.eye(2)])
+
+    def test_invalid_terms_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            trace_min_sum([])
+        with pytest.raises(ValueError, match="square"):
+            trace_min_sum([np.ones((2, 3))])
+        with pytest.raises(ValueError, match="asymmetry"):
+            trace_min_sum([np.eye(2), [[1.0, 1e-3], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="PSD"):
+            trace_min_sum([np.eye(2), np.diag([1.0, -1.0])])
 
     def test_corollary_consistency_k2(self):
         # for two terms the result must equal the closed-form pair bound
@@ -197,20 +198,16 @@ class TestTraceMinSum:
             n = int(rng.integers(1, 5))
             s1, s2 = random_spd(rng, n), random_spd(rng, n)
             beta = np.sqrt(np.trace(s1) / np.trace(s2))
-            out = trace_min_sum(
-                EllipsoidSum((Ellipsoid(np.zeros(n), s1), Ellipsoid(np.zeros(n), s2)))
-            )
-            assert np.max(np.abs(out.shape - pair_sum_shape(s1, s2, beta))) < 1e-10
+            out = trace_min_sum([s1, s2])
+            assert np.max(np.abs(out - pair_sum_shape(s1, s2, beta))) < 1e-10
 
     def test_containment_of_member_sums(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             n = int(rng.integers(1, 5))
             count = int(rng.integers(1, 5))
-            terms = tuple(
-                Ellipsoid(rng.standard_normal(n), random_spd(rng, n)) for _ in range(count)
-            )
-            bound = trace_min_sum(EllipsoidSum(terms))
+            terms, center = random_terms(rng, n, count)
+            bound = Ellipsoid(center, trace_min_sum([t.shape for t in terms]))
             draws = 400
             points = np.zeros((draws, n))
             for t in terms:
@@ -233,25 +230,22 @@ class TestTraceMinSum:
             n = int(rng.integers(1, 5))
             count = int(rng.integers(2, 5))
             shapes = [random_spd(rng, n) for _ in range(count)]
-            terms = tuple(Ellipsoid(np.zeros(n), s) for s in shapes)
-            bound = trace_min_sum(EllipsoidSum(terms))
+            bound = trace_min_sum(shapes)
             alphas = rng.dirichlet(np.ones(count), size=1000)
             family_traces = alphas @ np.array([np.trace(s) for s in shapes]) * 0.0
             for i, alpha in enumerate(alphas):
                 family_traces[i] = sum(np.trace(s) / a for s, a in zip(shapes, alpha))
-            assert np.trace(bound.shape) <= float(family_traces.min()) + 1e-9
+            assert np.trace(bound) <= float(family_traces.min()) + 1e-9
 
     def test_outputs_symmetric_psd(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             n = int(rng.integers(1, 5))
             count = int(rng.integers(1, 5))
-            terms = tuple(
-                Ellipsoid(rng.standard_normal(n), random_spd(rng, n)) for _ in range(count)
-            )
-            out = trace_min_sum(EllipsoidSum(terms))
-            assert np.max(np.abs(out.shape - out.shape.T)) == 0.0
-            assert np.linalg.eigvalsh(out.shape)[0] >= -1e-10
+            terms, _ = random_terms(rng, n, count)
+            out = trace_min_sum([t.shape for t in terms])
+            assert np.max(np.abs(out - out.T)) == 0.0
+            assert np.linalg.eigvalsh(out)[0] >= -1e-10
 
 
 class TestSampleBoundary:

@@ -423,26 +423,27 @@ class TestEkf:
 
 
 class TestNumericalHygiene:
-    def test_cov_floor_counter(self):
+    def test_cov_floor_lifts_eigmin(self):
         import skf.filter as flt
 
-        flt.reset_floor_counter()
-        floored = flt._condition_cov(np.array([[1e-16]]), 1e-14, step=1, what="cov")
-        assert floored[0, 0] >= 1e-14
-        assert flt.cov_floor_events == 1
-        flt.reset_floor_counter()
-        assert flt.cov_floor_events == 0
+        floored = flt._condition(np.array([[1e-16]]), flt.COV_FLOOR, step=1, what="cov")
+        assert floored[0, 0] >= flt.COV_FLOOR
+        # shapes pass floor 0: a rounding-level negative eigenvalue is
+        # shifted exactly to zero
+        shape = np.array([[1.0, 0.0], [0.0, -1e-12]])
+        lifted = flt._condition(shape, 0.0, step=1, what="shape")
+        assert np.array_equal(lifted, shape - (-1e-12) * np.eye(2))
 
     def test_hygiene_violation_raises(self):
         import skf.filter as flt
 
         with pytest.raises(flt.NumericsError, match="asymmetry"):
-            flt._condition_cov(
-                np.array([[1.0, 1e-8], [0.0, 1.0]]), 1e-14, step=4, what="cov"
+            flt._condition(
+                np.array([[1.0, 1e-8], [0.0, 1.0]]), flt.COV_FLOOR, step=4, what="cov"
             )
         with pytest.raises(flt.NumericsError, match="eigenvalue"):
-            flt._condition_psd(
-                np.array([[1.0, 0.0], [0.0, -1e-8]]), step=4, what="shape"
+            flt._condition(
+                np.array([[1.0, 0.0], [0.0, -1e-8]]), 0.0, step=4, what="shape"
             )
 
     def test_spd_preserved_over_benchmark_run(self):

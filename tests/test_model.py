@@ -41,7 +41,6 @@ class TestLinearizeProcess:
         lin = linearize_process(m, np.array([1.0, 2.0]), u, k=1)
         assert np.allclose(lin.f_x, f_mat, atol=1e-8)
         assert np.allclose(lin.f_w, np.eye(2), atol=1e-8)
-        assert np.allclose(lin.u_tilde, u, atol=1e-8)
 
     def test_benchmark_slope_at_origin(self):
         # finite differences must agree with the analytic derivative 25.5
@@ -70,15 +69,6 @@ class TestLinearizeProcess:
         lin = linearize_process(m, np.array([0.7]), np.array([1.0]), k=3)
         assert np.allclose(lin.f_a[0], np.eye(1))
 
-    def test_u_tilde_identity(self):
-        cfg = example1_config()
-        m = build_model(cfg)
-        x = np.array([1.3])
-        u = np.array([2.0])
-        lin = linearize_process(m, x, u, k=2)
-        f0 = m.f(x, u, np.zeros(1), [np.zeros(1)], 2)
-        assert np.allclose(lin.u_tilde, f0 - lin.f_x @ x, atol=0)
-
     def test_non_finite_value_raises(self):
         m = NonlinearModel(
             state_dim=1,
@@ -99,7 +89,6 @@ class TestLinearizeMeasurement:
     def test_linear_measurement_has_zero_remainder(self):
         m = linear_model(np.eye(2))
         lin = linearize_measurement(m, np.array([1.0, -2.0]), k=1)
-        assert np.allclose(lin.z_tilde_at(np.array([1.0, -2.0])), 0.0, atol=1e-9)
         assert np.allclose(lin.h_x, np.eye(2), atol=1e-8)
 
     def test_benchmark_measurement_at_two(self):
@@ -107,7 +96,6 @@ class TestLinearizeMeasurement:
         m = build_model(cfg)
         lin = linearize_measurement(m, np.array([2.0]), k=1)
         assert lin.h_x[0, 0] == pytest.approx(0.2, abs=1e-12)
-        assert lin.z_tilde_at(np.array([2.0]))[0] == pytest.approx(-0.2, abs=1e-12)
 
     def test_range_gradient_along_axis(self):
         cfg = example2_config()
@@ -164,11 +152,11 @@ class TestJacobianAgreement:
         x0 = np.array([1.7])
         u = np.array([0.5])
         lin = linearize_process(m, x0, u, k=1)
+        f0 = m.f(x0, u, np.zeros(1), [np.zeros(1)], 1)
 
         def remainder(dx):
-            x = x0 + dx
-            exact = m.f(x, u, np.zeros(1), [np.zeros(1)], 1)
-            approx = lin.f_x @ x + lin.u_tilde
+            exact = m.f(x0 + dx, u, np.zeros(1), [np.zeros(1)], 1)
+            approx = f0 + lin.f_x @ dx
             return float(np.linalg.norm(exact - approx))
 
         r1 = remainder(np.array([0.2]))
