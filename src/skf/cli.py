@@ -142,6 +142,29 @@ def _workers() -> int:
         raise SystemExit(2) from None
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
+def _scale_list(text: str) -> list[float]:
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
     workers = _workers()
@@ -150,7 +173,7 @@ def _cmd_run(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
 
     if args.command == "sweep":
-        scales = [float(s) for s in args.scales.split(",")]
+        scales = args.scales
         configs = [scaled_config(cfg, scale) for scale in scales]
         batches = [run_trials(scaled, workers=workers) for scaled in configs]
         summary = {
@@ -215,14 +238,23 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "bounded-uncertainty sensitivity sweep (example2)"),
     ):
         p = sub.add_parser(name, help=text)
-        p.add_argument("--trials", type=int, default=None, help="number of Monte Carlo trials")
-        p.add_argument("--steps", type=int, default=None, help="steps per trial")
-        p.add_argument("--eta", type=float, default=None, help="uncertainty weighting in [0, 1]")
+        p.add_argument(
+            "--trials", type=_positive_int, default=None, help="number of Monte Carlo trials"
+        )
+        p.add_argument("--steps", type=_positive_int, default=None, help="steps per trial")
+        p.add_argument(
+            "--eta", type=_unit_interval, default=None, help="uncertainty weighting in [0, 1]"
+        )
         p.add_argument("--seed", type=int, default=None, help=f"base seed (default {DEFAULT_SEED})")
         p.add_argument("--out", default="skf_out", help="output directory")
         p.add_argument("--config", default=None, help="JSON file overriding config fields")
         if name == "sweep":
-            p.add_argument("--scales", default="1,10,100", help="comma-separated semi-axis scales")
+            p.add_argument(
+                "--scales",
+                type=_scale_list,
+                default="1,10,100",
+                help="comma-separated semi-axis scales",
+            )
         p.set_defaults(handler=_cmd_run)
 
     v = sub.add_parser("validate", help="run the built-in invariant suite")

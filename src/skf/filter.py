@@ -10,6 +10,16 @@ chosen each step by minimizing a weighted total-uncertainty cost
 
     J(beta) = (1 - eta) tr C_plus(beta) + eta tr S_plus(beta).
 
+The gain K(beta) is stationary in J, so one gain solve gives both the
+value and, by the envelope theorem, the slope
+
+    dJ/dlog(beta) = eta (beta tr T2 - tr T1 / beta),
+
+with T1 = (I - K H_x) S (I - K H_x)^T and T2 = K H_b S_z H_b^T K^T. The
+search finds the zero of that slope, or the end of its bracket that the
+cost descends to, in a handful of evaluations; ``GainReport`` records
+which regime applied and how many evaluations it took.
+
 At eta = 0 the center and covariance recursions coincide exactly with
 the extended Kalman filter. ``FilterConfig`` carries eta alone. Every
 propagated covariance and shape passes through ``_condition``, which
@@ -118,13 +128,23 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class GainReport:
-    """Diagnostics of one update: gain, chosen beta, and final traces."""
+    """Diagnostics of one update: gain, chosen beta, and final traces.
+
+    ``regime`` says how beta was chosen: ``"interior"`` (a zero of the
+    cost's slope), ``"beta_to_zero"`` or ``"beta_to_inf"`` (the cost
+    descends to that end of the search bracket, which is returned),
+    ``"eta_zero"`` (the cost does not depend on beta) or ``"single_set"``
+    (at most one set term is live). ``evals`` counts the cost evaluations
+    of the search.
+    """
 
     gain: np.ndarray
     beta_star: float
     cost_at_star: float
     trace_cov: float
     trace_shape: float
+    regime: str
+    evals: int
 
 
 def _condition(mat: np.ndarray, floor: float, step: int, what: str) -> np.ndarray:
@@ -151,9 +171,9 @@ def skf_predict(
     """Push a posterior belief through the process model to the next prior.
 
     The covariance propagates as f_x C f_x^T + f_w C_u f_w^T; the center
-    through the full nonlinear map; the shape as the trace-minimal outer
-    bound of the mapped mean-set ellipsoid plus every mapped bounded
-    process ellipsoid.
+    through the full nonlinear map, whose value the linearization has
+    already computed; the shape as the trace-minimal outer bound of the
+    mapped mean-set ellipsoid plus every mapped bounded process ellipsoid.
     """
     if belief.kind != "posterior":
         raise ValueError("prediction starts from a posterior belief")
@@ -164,11 +184,6 @@ def skf_predict(
     cov = f_x @ belief.cov @ f_x.T + f_w @ c_u @ f_w.T
     cov = _condition(cov, COV_FLOOR, k, "predicted cov")
 
-    w0, a0, _, _ = m.zero_disturbances(k)
-    center = np.atleast_1d(np.asarray(m.f(belief.center, u, w0, a0, k), dtype=float))
-    if not np.all(np.isfinite(center)):
-        raise FilterError(f"predicted center is not finite: {center}", k)
-
     terms = [symmetrize(f_x @ belief.shape @ f_x.T)]
     for i, provider in enumerate(m.ubb_process_shapes):
         s_i = np.atleast_2d(np.asarray(provider(k), dtype=float))
@@ -176,7 +191,7 @@ def skf_predict(
         terms.append(symmetrize(f_ai @ s_i @ f_ai.T))
     shape = _condition(trace_min_sum(terms), 0.0, k, "predicted shape")
 
-    return StateBelief(center, cov, shape, "prior", k)
+    return StateBelief(lin.f_value, cov, shape, "prior", k)
 
 
 def _gain(
@@ -251,6 +266,42 @@ def _pair_shape(t_prior: np.ndarray, t_meas: np.ndarray, beta: float) -> np.ndar
     return (1.0 + 1.0 / beta) * t_prior + (1.0 + beta) * t_meas
 
 
+def _beta_cost(belief: StateBelief, lin: Linearization, cfg: FilterConfig):
+    """The search objective: beta -> (J, up, down), with dJ/dlog(beta) = up - down.
+
+    Everything comes from the one stationary gain K(beta):
+    J = tr((I - K H_x) A) with A = (1 - eta) C + eta (1 + 1/beta) S,
+    up = eta beta tr T2 and down = eta tr T1 / beta. T2 is formed as
+    (K H_b) S_z (K H_b)^T: as beta grows, K H_b vanishes while K need not,
+    and forming H_b S_z H_b^T first would leave its rounding in T2. The set
+    term keeps the pure pair formula: it is continuous in beta, whereas the
+    point-dropping rule applied to the final shape would step at the drop
+    threshold.
+    """
+    eta = cfg.eta
+    eye = np.eye(belief.dim)
+    cov_part = (1.0 - eta) * belief.cov
+
+    def cost(beta: float) -> tuple[float, float, float]:
+        gain = skf_gain(belief, lin, cfg, beta)
+        ikh = eye - gain @ lin.h_x
+        ikh_s = ikh @ belief.shape
+        gain_b = gain @ lin.h_b
+        value = float(np.sum(ikh * cov_part)) + eta * (1.0 + 1.0 / beta) * float(
+            np.trace(ikh_s)
+        )
+        # Both traces are of PSD products; a rounding residue below zero
+        # counts as zero.
+        tr_meas = max(float(np.sum((gain_b @ lin.meas_ubb_shape) * gain_b)), 0.0)
+        tr_prior = max(float(np.sum(ikh_s * ikh)), 0.0)
+        return value, eta * beta * tr_meas, eta * tr_prior / beta
+
+    return cost
+
+
+_LIMIT_REGIMES = {"lower": "beta_to_zero", "upper": "beta_to_inf"}
+
+
 def skf_update(
     belief: StateBelief, y: np.ndarray, m: NonlinearModel, cfg: FilterConfig, k: int
 ) -> tuple[StateBelief, GainReport]:
@@ -270,17 +321,6 @@ def skf_update(
     lin = linearize_measurement(m, belief.center, k)
     eta = cfg.eta
 
-    def cost(beta: float) -> float:
-        # The search objective keeps the pure pair formula: it is continuous
-        # in beta, whereas the point-dropping rule applied to the final shape
-        # would step by (1 + beta) * trace at the drop threshold.
-        gain = skf_gain(belief, lin, cfg, beta)
-        cov_plus, t_prior, t_meas = _update_terms(belief, lin, gain)
-        tr_shape = (1.0 + 1.0 / beta) * float(np.trace(t_prior)) + (1.0 + beta) * float(
-            np.trace(t_meas)
-        )
-        return (1.0 - eta) * float(np.trace(cov_plus)) + eta * tr_shape
-
     # A set term with (essentially) zero trace is a single point: it adds
     # nothing to the pair bound and must not inflate the gain either, or
     # the beta search would chase an inflation factor of 1 toward the
@@ -290,20 +330,24 @@ def skf_update(
         float(np.trace(lin.h_b @ lin.meas_ubb_shape @ lin.h_b.T)) > EPS_TRACE
     )
     beta_star = 1.0
+    evals = 0
     if eta == 0.0:
         # Cost independent of beta: the gain is exactly the EKF gain.
+        regime = "eta_zero"
         gain = skf_gain(belief, lin, cfg, beta_star)
     elif prior_set_live and meas_set_live:
-        problem = ScalarProblem(objective=cost)
+        problem = ScalarProblem(objective=_beta_cost(belief, lin, cfg))
         try:
-            beta_star, _, _ = minimize_scalar(problem)
+            beta_star, _, evals, end = minimize_scalar(problem)
         except OptimizerError as err:
             raise FilterError(
                 f"beta search failed on bracket {problem.bracket}: {err}", k
             ) from err
+        regime = _LIMIT_REGIMES.get(end, end)
         gain = skf_gain(belief, lin, cfg, beta_star)
     else:
         # At most one set term is live; its inflation factor collapses to 1.
+        regime = "single_set"
         gain = _gain(
             belief,
             lin,
@@ -311,9 +355,7 @@ def skf_update(
             1.0 if prior_set_live else 0.0,
             1.0 if meas_set_live else 0.0,
         )
-    w0, a0, v0, b0 = m.zero_disturbances(k)
-    predicted_y = np.atleast_1d(np.asarray(m.h(belief.center, v0, b0, k), dtype=float))
-    innovation = wrap_angles(y - predicted_y, m.angular_mask)
+    innovation = wrap_angles(y - lin.h_value, m.angular_mask)
     center = belief.center + gain @ innovation
     if not np.all(np.isfinite(center)):
         raise FilterError(f"updated center is not finite: {center}", k)
@@ -332,6 +374,8 @@ def skf_update(
         cost_at_star=cost_at_star,
         trace_cov=float(np.trace(cov_plus)),
         trace_shape=float(np.trace(shape_plus)),
+        regime=regime,
+        evals=evals,
     )
     return StateBelief(center, cov_plus, shape_plus, "posterior", k), report
 
@@ -354,10 +398,7 @@ def ekf_step(
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
 
     lin_p = linearize_process(m, state, u, k)
-    w0, a0, v0, b0 = m.zero_disturbances(k)
-    x_pred = np.atleast_1d(np.asarray(m.f(state, u, w0, a0, k), dtype=float))
-    if not np.all(np.isfinite(x_pred)):
-        raise FilterError(f"EKF predicted state is not finite: {x_pred}", k)
+    x_pred = lin_p.f_value
     c_u = np.atleast_2d(np.asarray(m.process_noise_cov(k), dtype=float))
     p_pred = lin_p.f_x @ cov @ lin_p.f_x.T + lin_p.f_w @ c_u @ lin_p.f_w.T
     p_pred = symmetrize(p_pred)
@@ -374,9 +415,7 @@ def ekf_step(
         ) from err
 
     residual = wrap_angles(
-        np.atleast_1d(np.asarray(y, dtype=float))
-        - np.atleast_1d(np.asarray(m.h(x_pred, v0, b0, k), dtype=float)),
-        m.angular_mask,
+        np.atleast_1d(np.asarray(y, dtype=float)) - lin_m.h_value, m.angular_mask
     )
     x_post = x_pred + gain @ residual
     ikh = np.eye(m.state_dim) - gain @ h_x

@@ -121,15 +121,18 @@ class NonlinearModel:
 class Linearization:
     """First-order expansion of a model at a requested center.
 
-    ``linearize_process`` fills the process part (f_x, f_w, f_a);
-    ``linearize_measurement`` the measurement part, along with the step's
+    ``linearize_process`` fills the process part (the value f_value at the
+    expansion point, f_x, f_w, f_a); ``linearize_measurement`` the
+    measurement part (h_value, h_x, h_v, h_b), along with the step's
     measurement noise matrices so downstream gain algebra has everything
     it needs in one place.
     """
 
+    f_value: np.ndarray | None = None
     f_x: np.ndarray | None = None
     f_w: np.ndarray | None = None
     f_a: tuple[np.ndarray, ...] = ()
+    h_value: np.ndarray | None = None
     h_x: np.ndarray | None = None
     h_v: np.ndarray | None = None
     h_b: np.ndarray | None = None
@@ -163,14 +166,14 @@ def linearize_process(
 ) -> Linearization:
     """Expand the process map about (x_center, u, w=0, a=0).
 
-    Returns f_x, f_w and each f_a_i. The process value at the expansion
-    point must be finite.
+    Returns the process value at the expansion point, which must be
+    finite, together with f_x, f_w and each f_a_i.
     """
     x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
     if x_center.size != m.state_dim:
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
     w0, a0, _, _ = m.zero_disturbances(k)
-    _check_finite(m.f(x_center, u, w0, a0, k), "process value", k)
+    f_value = _check_finite(m.f(x_center, u, w0, a0, k), "process value", k)
 
     jac = m.jacobians
     if jac is not None and jac.f_x is not None:
@@ -199,16 +202,20 @@ def linearize_process(
             f_ai = central_jacobian(_f_of_ai, a0[i])
         f_a.append(f_ai)
 
-    return Linearization(f_x=f_x, f_w=f_w, f_a=tuple(f_a))
+    return Linearization(f_value=f_value, f_x=f_x, f_w=f_w, f_a=tuple(f_a))
 
 
 def linearize_measurement(m: NonlinearModel, x_center: np.ndarray, k: int) -> Linearization:
-    """Expand the measurement map about (x_center, v=0, b=0)."""
+    """Expand the measurement map about (x_center, v=0, b=0).
+
+    Returns the measurement value there, which must be finite, together
+    with h_x, h_v, h_b and the step's measurement noise matrices.
+    """
     x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
     if x_center.size != m.state_dim:
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
     _, _, v0, b0 = m.zero_disturbances(k)
-    _check_finite(m.h(x_center, v0, b0, k), "measurement value", k)
+    h_value = _check_finite(m.h(x_center, v0, b0, k), "measurement value", k)
 
     jac = m.jacobians
     if jac is not None and jac.h_x is not None:
@@ -227,6 +234,7 @@ def linearize_measurement(m: NonlinearModel, x_center: np.ndarray, k: int) -> Li
         h_b = central_jacobian(lambda b: np.atleast_1d(m.h(x_center, v0, b, k)), b0)
 
     return Linearization(
+        h_value=h_value,
         h_x=h_x,
         h_v=h_v,
         h_b=h_b,

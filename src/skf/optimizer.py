@@ -1,18 +1,30 @@
-"""Scalar minimization over the positive half-line.
+"""Scalar minimization over the positive half-line by root-finding on the slope.
 
 The filtering step needs the minimizer of a cost J(beta) for beta > 0.
-J diverges at both ends of the half-line for non-degenerate inputs, so
-the search runs in t = log(beta), where a golden-section bracket is
-finite and the geometry of the problem is symmetric.
+The search runs in t = log(beta). Each evaluation returns the cost and
+the two non-negative parts of its slope, dJ/dt = up - down; the filter
+gets both from the envelope theorem at no cost beyond the value. An
+interior minimizer is a zero of G(t) = log(up) - log(down):
+
+* If up - down keeps one sign between the bracket ends, and the values
+  agree, the cost is monotone there and the search returns the end it
+  descends to, exactly. Strict descent into that end doubles the bracket
+  on that side.
+* Otherwise a fixed-point step t - G/2 from one end starts secant steps
+  on G, safeguarded by bisection on the sign of up - down (Brent,
+  *Algorithms for Minimization without Derivatives*, 1973).
+
+An end whose slope sign the values contradict (a slope at rounding level
+pointing the wrong way) does not settle the regime; the interior search
+then runs, and if it closes in on an end, that end is returned as above.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_EXPANSIONS = 5
 T_LIMIT = 700.0  # exp(t) stays within double range
 
@@ -23,12 +35,16 @@ class OptimizerError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScalarProblem:
-    """A one-dimensional minimization of ``objective(beta)`` for beta > 0.
+    """A one-dimensional minimization of a cost over beta > 0.
 
-    ``bracket`` is given in t = log(beta) space.
+    ``objective(beta)`` returns ``(value, up, down)``: the cost and two
+    non-negative parts of its log-slope, dJ/dlog(beta) = up - down.
+    ``bracket`` is given in t = log(beta) space, ``tol`` is the accuracy
+    of the minimizer in t, and ``max_iters`` bounds the evaluations of the
+    search between the bracket ends.
     """
 
-    objective: Callable[[float], float]
+    objective: Callable[[float], tuple[float, float, float]]
     bracket: tuple[float, float] = (-20.0, 20.0)
     tol: float = 1e-8
     max_iters: int = 200
@@ -41,73 +57,139 @@ class ScalarProblem:
             raise ValueError("tol must be positive")
 
 
-def _eval(objective: Callable[[float], float], t: float) -> float:
-    val = float(objective(math.exp(t)))
-    if not math.isfinite(val):
-        raise OptimizerError(
-            f"objective is not finite at beta = exp({t:.6g}) = {math.exp(t):.6g}"
-        )
-    return val
+class ScalarResult(NamedTuple):
+    """The minimizer, the cost at the last evaluated point, and the work done.
 
-
-def _golden(objective, lo: float, hi: float, tol: float, max_iters: int):
-    """Golden-section pass on [lo, hi]; returns (t*, f*, iters, f_lo, f_hi)."""
-    f_lo = _eval(objective, lo)
-    f_hi = _eval(objective, hi)
-    a, b = lo, hi
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    f_c = _eval(objective, c)
-    f_d = _eval(objective, d)
-    iters = 0
-    while (b - a) > tol and iters < max_iters:
-        if f_c < f_d:
-            b, d, f_d = d, c, f_c
-            c = b - INV_PHI * (b - a)
-            f_c = _eval(objective, c)
-        else:
-            a, c, f_c = c, d, f_d
-            d = a + INV_PHI * (b - a)
-            f_d = _eval(objective, d)
-        iters += 1
-    t_star = 0.5 * (a + b)
-    return t_star, _eval(objective, t_star), iters, f_lo, f_hi
-
-
-def minimize_scalar(p: ScalarProblem) -> tuple[float, float, int]:
-    """Minimize ``p.objective`` over beta > 0 by golden section in log space.
-
-    If the minimum sits at a bracket endpoint the bracket is doubled on
-    that side, up to ``MAX_EXPANSIONS`` times; descent that still reaches
-    the endpoint afterwards is reported as an error. Returns
-    ``(beta_star, value, iterations)`` and is bit-deterministic in its
-    inputs.
+    ``regime`` is ``"interior"`` for a zero of the slope, and ``"lower"``
+    or ``"upper"`` for a cost monotone up to that end of the bracket.
     """
-    lo, hi = p.bracket
-    total_iters = 0
-    for _ in range(MAX_EXPANSIONS + 1):
-        t_star, f_star, iters, f_lo, f_hi = _golden(
-            p.objective, lo, hi, p.tol, p.max_iters
+
+    beta: float
+    value: float
+    evals: int
+    regime: str
+
+
+class _Point(NamedTuple):
+    t: float
+    value: float
+    up: float
+    down: float
+
+
+def _eval(objective, t: float) -> _Point:
+    beta = math.exp(t)
+    value, up, down = (float(v) for v in objective(beta))
+    if not math.isfinite(value):
+        raise OptimizerError(f"objective is not finite at beta = exp({t:.6g}) = {beta:.6g}")
+    if not (0.0 <= up < math.inf and 0.0 <= down < math.inf):
+        raise OptimizerError(
+            f"slope parts must be finite and non-negative at beta = {beta:.6g}, "
+            f"got up = {up!r}, down = {down!r}"
         )
-        total_iters += iters
-        # Expand only on strict descent into an endpoint; a flat objective
-        # must terminate rather than chase equal values outward.
-        margin = 1e-12 * max(1.0, abs(f_star))
-        if f_lo < f_star - margin and t_star - lo < 4.0 * p.tol:
-            new_lo = max(lo - (hi - lo), -T_LIMIT)
-            if new_lo == lo:
-                break
-            lo = new_lo
-            continue
-        if f_hi < f_star - margin and hi - t_star < 4.0 * p.tol:
-            new_hi = min(hi + (hi - lo), T_LIMIT)
-            if new_hi == hi:
-                break
-            hi = new_hi
-            continue
-        return math.exp(t_star), f_star, total_iters
+    return _Point(t, value, up, down)
+
+
+def _log_ratio(p: _Point) -> float | None:
+    """G = log(up) - log(down), or None where a part is 0."""
+    if p.up > 0.0 and p.down > 0.0:
+        return math.log(p.up) - math.log(p.down)
+    return None
+
+
+def _secant(prev: _Point | None, cur: _Point) -> float | None:
+    """Secant step on G through prev and cur, or None where G is undefined.
+
+    Without ``prev`` the step assumes dG/dt = 2, its value when both traces
+    are locally constant: that is the fixed-point step t - G/2.
+    """
+    g_cur = _log_ratio(cur)
+    if g_cur is None:
+        return None
+    if prev is None:
+        return cur.t - 0.5 * g_cur
+    g_prev = _log_ratio(prev)
+    if g_prev is None or g_prev == g_cur:
+        return None
+    return cur.t - g_cur * (cur.t - prev.t) / (g_cur - g_prev)
+
+
+def _root(objective, lo: _Point, hi: _Point, tol: float, max_iters: int):
+    """Zero of the slope between lo and hi, taken as slope < 0 and slope > 0.
+
+    Starts from the end with the larger |G|: its fixed-point step moves
+    furthest. Secant steps that leave the bracket, or that G cannot take,
+    give way to bisection. Returns ``(t, last evaluated point,
+    evaluations)``.
+    """
+    a, b = lo, hi
+    ends = [p for p in (a, b) if _log_ratio(p) is not None]
+    cur = max(ends, key=lambda p: abs(_log_ratio(p))) if ends else a
+    prev = None
+    for evals in range(max_iters + 1):
+        if b.t - a.t <= tol:
+            return 0.5 * (a.t + b.t), cur, evals
+        t = _secant(prev, cur)
+        if t is None or not a.t < t < b.t:
+            t = 0.5 * (a.t + b.t)
+        elif abs(t - cur.t) <= tol:
+            return t, cur, evals
+        if evals == max_iters:
+            break
+        prev, cur = cur, _eval(objective, t)
+        if cur.up == cur.down:
+            return t, cur, evals + 1
+        if cur.up < cur.down:
+            a = cur
+        else:
+            b = cur
+    raise OptimizerError(
+        f"slope zero not located to {tol:.3g} in {max_iters} evaluations "
+        f"(bracket [{a.t:.6g}, {b.t:.6g}] in log space)"
+    )
+
+
+def minimize_scalar(p: ScalarProblem) -> ScalarResult:
+    """Minimize ``p.objective`` over beta > 0 by root-finding on its log-slope.
+
+    Both bracket ends are evaluated first. Where the slope changes sign
+    from negative to positive between them, the zero is found to ``p.tol``
+    in log space. Otherwise the end the cost descends to is returned, after
+    doubling the bracket on that side (up to ``MAX_EXPANSIONS`` times) while
+    the descent across the last ``4 * tol`` still exceeds 1e-12 of the
+    value; descent that persists beyond that is reported as an error. The
+    result is bit-deterministic in its inputs.
+    """
+    lo = _eval(p.objective, p.bracket[0])
+    hi = _eval(p.objective, p.bracket[1])
+    evals = 2
+    for _ in range(MAX_EXPANSIONS + 1):
+        # The cost descends to an end whose slope does not point inward and
+        # whose value is not above the other end's. Anything else brackets
+        # an interior minimum: a sign change of the slope, or an end slope
+        # at rounding level that the values contradict.
+        lower = lo.up >= lo.down and lo.value <= hi.value
+        if not (lower or (hi.up <= hi.down and hi.value <= lo.value)):
+            t, at, n = _root(p.objective, lo, hi, p.tol, p.max_iters)
+            evals += n
+            if t - lo.t > p.tol and hi.t - t > p.tol:
+                return ScalarResult(math.exp(t), at.value, evals, "interior")
+            lower = t - lo.t <= p.tol
+        end = lo if lower else hi
+        outward = (end.up - end.down) * (1.0 if lower else -1.0)
+        if outward * 4.0 * p.tol <= 1e-12 * max(1.0, abs(end.value)):
+            return ScalarResult(math.exp(end.t), end.value, evals, "lower" if lower else "upper")
+        width = hi.t - lo.t
+        t_new = max(lo.t - width, -T_LIMIT) if lower else min(hi.t + width, T_LIMIT)
+        if t_new == end.t:
+            break
+        if lower:
+            lo = _eval(p.objective, t_new)
+        else:
+            hi = _eval(p.objective, t_new)
+        evals += 1
     raise OptimizerError(
         "descent reaches the bracket endpoint after "
-        f"{MAX_EXPANSIONS} doublings (bracket [{lo:.6g}, {hi:.6g}] in log space); "
+        f"{MAX_EXPANSIONS} doublings (bracket [{lo.t:.6g}, {hi.t:.6g}] in log space); "
         "the objective appears unbounded below on the half-line"
     )

@@ -166,12 +166,12 @@ def test_criterion_4_beta_optimizer_vs_grid():
         def cost(beta):
             gain = skf_gain(belief, lin, cfg, beta)
             cov_plus, t1, t2 = _update_terms(belief, lin, gain)
-            tr_shape = (1 + 1 / beta) * float(np.trace(t1)) + (1 + beta) * float(
-                np.trace(t2)
-            )
-            return (1 - eta) * float(np.trace(cov_plus)) + eta * tr_shape
+            tr1, tr2 = float(np.trace(t1)), float(np.trace(t2))
+            tr_shape = (1 + 1 / beta) * tr1 + (1 + beta) * tr2
+            value = (1 - eta) * float(np.trace(cov_plus)) + eta * tr_shape
+            return value, eta * beta * tr2, eta * tr1 / beta
 
-        beta_star, value, _ = minimize_scalar(ScalarProblem(objective=cost))
+        beta_star, value, _, _ = minimize_scalar(ScalarProblem(objective=cost))
         t_coarse = np.linspace(-20.0, 20.0, 100_000)
         costs = _grid_cost(belief, lin, eta, np.exp(t_coarse))
         i0 = int(np.argmin(costs))
@@ -182,7 +182,7 @@ def test_criterion_4_beta_optimizer_vs_grid():
         beta_grid = float(np.exp(t_fine[int(np.argmin(costs_fine))]))
         worst_rel = max(worst_rel, abs(beta_star - beta_grid) / beta_grid)
         # value comparison through the production cost at both candidates
-        worst_val = max(worst_val, value - cost(beta_grid))
+        worst_val = max(worst_val, value - cost(beta_grid)[0])
     ok = worst_rel < 1e-5 and worst_val <= 1e-9
     announce(
         "4 beta-optimizer", ok, f"worst rel {worst_rel:.3e}, worst value gap {worst_val:.3e}"

@@ -93,6 +93,23 @@ class TestRunCommand:
             main(["example1", "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("example1", "--eta", "1.5"),
+            ("example1", "--trials", "0"),
+            ("example2", "--steps", "0"),
+            ("sweep", "--scales", "1,x"),
+        ],
+    )
+    def test_bad_flag_value_exits_2_before_output(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "bad"
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

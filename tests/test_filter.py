@@ -22,7 +22,7 @@ from skf.filter import (
     skf_predict,
     skf_update,
 )
-from skf.model import Linearization, NonlinearModel, linearize_measurement
+from skf.model import AnalyticJacobians, Linearization, NonlinearModel, linearize_measurement
 from skf.validation import gain_cost, random_spd, random_update_setup
 
 
@@ -51,15 +51,18 @@ def scalar_model(sz=4.0):
 
 
 def production_cost(belief, lin, cfg):
-    """Mirror of the update's search objective (pure pair formula)."""
+    """Mirror of the update's search objective (pure pair formula).
+
+    Returns (J, up, down) with the envelope slope dJ/dlog(beta) = up - down.
+    """
 
     def cost(beta):
         gain = skf_gain(belief, lin, cfg, beta)
         cov_plus, t_prior, t_meas = _update_terms(belief, lin, gain)
-        tr_shape = (1 + 1 / beta) * float(np.trace(t_prior)) + (1 + beta) * float(
-            np.trace(t_meas)
-        )
-        return (1 - cfg.eta) * float(np.trace(cov_plus)) + cfg.eta * tr_shape
+        tr_prior, tr_meas = float(np.trace(t_prior)), float(np.trace(t_meas))
+        tr_shape = (1 + 1 / beta) * tr_prior + (1 + beta) * tr_meas
+        value = (1 - cfg.eta) * float(np.trace(cov_plus)) + cfg.eta * tr_shape
+        return value, cfg.eta * beta * tr_meas, cfg.eta * tr_prior / beta
 
     return cost
 
@@ -243,8 +246,8 @@ class TestUpdate:
         lin = linearize_measurement(m, prior.center, 1)
         cost = production_cost(prior, lin, cfg)
         _, report = skf_update(prior, np.array([0.0]), m, cfg, 1)
-        assert report.cost_at_star <= cost(report.beta_star * 1.01) + 1e-9
-        assert report.cost_at_star <= cost(report.beta_star * 0.99) + 1e-9
+        assert report.cost_at_star <= cost(report.beta_star * 1.01)[0] + 1e-9
+        assert report.cost_at_star <= cost(report.beta_star * 0.99)[0] + 1e-9
 
     def test_global_on_grid_for_random_configs(self):
         # In the asymptotic tails of the bracket the cost is flat and its
@@ -269,12 +272,12 @@ class TestUpdate:
             )
             cfg = FilterConfig(eta=0.5)
             cost = production_cost(belief, lin, cfg)
-            beta_star, value, _ = minimize_scalar(ScalarProblem(objective=cost))
+            beta_star, value, _, _ = minimize_scalar(ScalarProblem(objective=cost))
             if not (1e-5 < beta_star < 1e5):
                 continue
             interior += 1
             for beta in np.exp(np.linspace(-20, 20, 1000)):
-                assert value <= cost(beta) + 1e-9
+                assert value <= cost(beta)[0] + 1e-9
         assert interior >= 10
 
     def test_envelope_identity_at_optimum(self):
@@ -287,7 +290,7 @@ class TestUpdate:
             cost = production_cost(belief, lin, cfg)
             from skf.optimizer import ScalarProblem, minimize_scalar
 
-            beta_star, _, _ = minimize_scalar(ScalarProblem(objective=cost))
+            beta_star, _, _, _ = minimize_scalar(ScalarProblem(objective=cost))
             if not (1e-6 < beta_star < 1e6):
                 continue  # flat tail: identity ill-conditioned
             gain = skf_gain(belief, lin, cfg, beta_star)
@@ -359,6 +362,88 @@ class TestUpdate:
         post = StateBelief([0.0], [[1.0]], [[1.0]], "posterior", 1)
         with pytest.raises(ValueError, match="prior"):
             skf_update(post, np.array([1.0]), m, FilterConfig(), 1)
+
+
+class TestGainRegime:
+    """``GainReport.regime`` and ``evals`` for each way beta is chosen."""
+
+    def update(self, cov, shape, eta=0.5, sz=1.0):
+        prior = StateBelief([0.0], [[cov]], [[shape]], "prior", 1)
+        _, report = skf_update(prior, np.array([0.5]), scalar_model(sz=sz), FilterConfig(eta), 1)
+        return report
+
+    def test_interior(self):
+        report = self.update(2.0, 1.0)
+        assert report.regime == "interior"
+        assert report.beta_star == pytest.approx(0.5, abs=1e-6)
+        assert report.evals >= 3
+
+    def test_beta_to_zero(self):
+        # a wide prior set against a tight measurement: trust the measurement
+        report = self.update(0.01, 100.0)
+        assert report.regime == "beta_to_zero"
+        assert report.beta_star == np.exp(-20.0)
+        assert report.evals == 2
+
+    def test_beta_to_inf(self):
+        # a tight prior set against a wide measurement set: ignore the set
+        report = self.update(0.01, 0.01)
+        assert report.regime == "beta_to_inf"
+        assert report.beta_star == np.exp(20.0)
+        assert report.evals == 2
+
+    def test_eta_zero(self):
+        report = self.update(2.0, 1.0, eta=0.0)
+        assert (report.regime, report.evals, report.beta_star) == ("eta_zero", 0, 1.0)
+
+    def test_single_set(self):
+        report = self.update(2.0, 1.0, sz=0.0)
+        assert (report.regime, report.evals, report.beta_star) == ("single_set", 0, 1.0)
+
+
+class TestModelEvaluations:
+    def test_maps_evaluated_once_per_step(self):
+        # the linearization's values serve as predicted center and measurement
+        calls = {"f": 0, "h": 0}
+
+        def f(x, u, w, a, k):
+            calls["f"] += 1
+            return 0.9 * x + u + w + a[0]
+
+        def h(x, v, b, k):
+            calls["h"] += 1
+            return x**2 + v + b
+
+        m = NonlinearModel(
+            state_dim=1,
+            input_dim=1,
+            meas_dim=1,
+            f=f,
+            h=h,
+            process_noise_cov=np.eye(1),
+            ubb_process_shapes=(np.eye(1),),
+            meas_noise_cov=np.eye(1),
+            ubb_meas_shape=np.eye(1),
+            jacobians=AnalyticJacobians(
+                f_x=lambda x, u, k: 0.9 * np.eye(1),
+                f_w=lambda x, u, k: np.eye(1),
+                f_a=(lambda x, u, k: np.eye(1),),
+                h_x=lambda x, k: np.atleast_2d(2.0 * x),
+                h_v=lambda x, k: np.eye(1),
+                h_b=lambda x, k: np.eye(1),
+            ),
+        )
+        belief = StateBelief([1.0], [[1.0]], [[1.0]], "posterior", 0)
+        x, p = np.array([1.0]), np.eye(1)
+        steps = 5
+        for k in range(1, steps + 1):
+            prior = skf_predict(belief, m, np.array([0.1]), k)
+            belief, _ = skf_update(prior, np.array([1.5]), m, FilterConfig(eta=0.5), k)
+        assert calls == {"f": steps, "h": steps}
+        calls.update(f=0, h=0)
+        for k in range(1, steps + 1):
+            x, p = ekf_step(x, p, np.array([0.1]), np.array([1.5]), m, k)
+        assert calls == {"f": steps, "h": steps}
 
 
 class TestEkf:
@@ -472,8 +557,10 @@ class TestNumericalHygiene:
         for _ in range(20):
             m_tr = float(rng.uniform(0.05, 20.0))
             n_tr = float(rng.uniform(0.05, 20.0))
-            beta, value, _ = minimize_scalar(
-                ScalarProblem(objective=lambda b: (1 + 1 / b) * m_tr + (1 + b) * n_tr)
+            beta, value, _, _ = minimize_scalar(
+                ScalarProblem(
+                    objective=lambda b: ((1 + 1 / b) * m_tr + (1 + b) * n_tr, n_tr * b, m_tr / b)
+                )
             )
             closed = np.sqrt(m_tr / n_tr)
             assert abs(np.log(beta) - np.log(closed)) < 1e-7

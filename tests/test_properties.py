@@ -1,7 +1,9 @@
-"""Property tests for the Minkowski-sum bound and the conditioning routine.
+"""Property tests for the Minkowski-sum bound, the conditioning routine and
+the beta search.
 
 Inputs span dimensions 1-5, scales 1e-6 to 1e6 and rank-deficient
-terms. Runs are derandomized, so every run checks the same examples.
+terms (set terms of the sum; observation maps of the update). Runs are
+derandomized, so every run checks the same examples.
 
 ``_condition`` re-runs ``eigvalsh`` on its own output. That value carries
 rounding error of order eps * |entries|. So "idempotent" and "eigmin at
@@ -16,7 +18,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from skf.ellipsoid import EPS_TRACE, _scale_tol, pair_sum_shape, symmetrize, trace_min_sum
-from skf.filter import COV_FLOOR, NumericsError, _condition
+from skf.filter import (
+    COV_FLOOR,
+    FilterConfig,
+    NumericsError,
+    StateBelief,
+    _beta_cost,
+    _condition,
+    _update_terms,
+    skf_gain,
+)
+from skf.model import Linearization
+from skf.optimizer import ScalarProblem, minimize_scalar
 
 ROUNDING = 64 * np.finfo(float).eps
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -84,3 +97,105 @@ def test_condition_asymmetry_threshold(mat, step):
         _condition(above, 0.0, step=step, what="mat")
     assert exc.value.step == step
     assert str(exc.value).startswith(f"step {step}:")
+
+
+# --- beta search -----------------------------------------------------------
+
+LOG_GRID = np.linspace(-20.0, 20.0, 2001)
+
+
+def low_rank(draw, rows, cols):
+    """A rows x cols matrix of random rank 1 .. min(rows, cols)."""
+    rank = draw(st.integers(1, min(rows, cols)))
+    left = draw(arrays(np.float64, (rows, rank), elements=st.floats(-1.0, 1.0)))
+    right = draw(arrays(np.float64, (rank, cols), elements=st.floats(-1.0, 1.0)))
+    return (left + np.eye(rows, rank)) @ (right + np.eye(rank, cols))
+
+
+@st.composite
+def update_problems(draw):
+    """An update with both set terms live: dimensions 1-5, one scale 1e-6 .. 1e6
+    for every covariance and shape, and h_x, h_b of any rank.
+
+    Covariances and shapes are positive definite. The slope parts are
+    traces through S and S_z, so their rounding in a null direction of
+    either would set the sign of the slope where it vanishes.
+    """
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+
+    def spd(k):
+        factor = low_rank(draw, k, k)
+        return scale * symmetrize(factor @ factor.T + 0.1 * np.eye(k))
+
+    belief = StateBelief(np.zeros(n), spd(n), spd(n), "prior", 1)
+    lin = Linearization(
+        h_x=low_rank(draw, m, n),
+        h_v=np.eye(m),
+        h_b=low_rank(draw, m, m),
+        meas_noise_cov=spd(m),
+        meas_ubb_shape=spd(m),
+    )
+    cfg = FilterConfig(eta=draw(st.sampled_from([0.25, 0.5, 0.75])))
+    result = minimize_scalar(ScalarProblem(objective=_beta_cost(belief, lin, cfg)))
+    return belief, lin, cfg, scale, result
+
+
+def grid_oracle(belief, lin, eta, betas):
+    """Update cost, in Joseph form, and its envelope log-slope for each beta.
+
+    The slope is eta (beta tr T2 - tr T1 / beta) at the stationary gain.
+    T2 is formed as (K H_b) S_z (K H_b)^T, so no rounding of H_b S_z H_b^T
+    is scaled up by 1 + beta.
+    """
+    h_x, h_b = lin.h_x, lin.h_b
+    c, s = belief.cov, belief.shape
+    p, q = 1 + 1 / betas, 1 + betas
+    r = lin.h_v @ lin.meas_noise_cov @ lin.h_v.T
+    z = h_b @ lin.meas_ubb_shape @ h_b.T
+    cross = (1 - eta) * (c @ h_x.T)[None] + eta * p[:, None, None] * (s @ h_x.T)[None]
+    bracket = (1 - eta) * (h_x @ c @ h_x.T + r)[None] + eta * (
+        p[:, None, None] * (h_x @ s @ h_x.T)[None] + q[:, None, None] * z[None]
+    )
+    bracket = 0.5 * (bracket + np.swapaxes(bracket, 1, 2))
+    gain = np.swapaxes(np.linalg.solve(bracket, np.swapaxes(cross, 1, 2)), 1, 2)
+    ikh = np.eye(c.shape[0])[None] - gain @ h_x
+    gain_b = gain @ h_b
+
+    def tr(left, mid):
+        return np.trace(left @ mid @ np.swapaxes(left, 1, 2), axis1=1, axis2=2)
+
+    t_prior, t_meas = tr(ikh, s), tr(gain_b, lin.meas_ubb_shape)
+    costs = (1 - eta) * (tr(ikh, c) + tr(gain, r)) + eta * (p * t_prior + q * t_meas)
+    return costs, eta * (betas * t_meas - t_prior / betas)
+
+
+@PROPERTY
+@given(update_problems())
+def test_interior_beta_meets_envelope_identity(problem):
+    belief, lin, cfg, _, result = problem
+    assume(result.regime == "interior")
+    gain = skf_gain(belief, lin, cfg, result.beta)
+    _, t_prior, t_meas = _update_terms(belief, lin, gain)
+    identity = result.beta**2 * np.trace(t_meas) / np.trace(t_prior)
+    assert abs(identity - 1.0) <= 1e-8
+
+
+@PROPERTY
+@given(update_problems())
+def test_beta_search_beats_log_grid(problem):
+    belief, lin, cfg, scale, result = problem
+    at_star = grid_oracle(belief, lin, cfg.eta, np.array([result.beta]))[0][0]
+    on_grid, _ = grid_oracle(belief, lin, cfg.eta, np.exp(LOG_GRID))
+    assert at_star <= on_grid.min() + 1e-9 * scale
+
+
+@PROPERTY
+@given(update_problems())
+def test_limit_regime_slope_keeps_one_sign(problem):
+    belief, lin, cfg, _, result = problem
+    assume(result.regime != "interior")
+    assert result.beta in (np.exp(-20.0), np.exp(20.0))
+    _, slopes = grid_oracle(belief, lin, cfg.eta, np.exp(LOG_GRID))
+    assert np.all(slopes >= 0.0) or np.all(slopes <= 0.0)
