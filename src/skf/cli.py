@@ -142,11 +142,19 @@ def _workers() -> int:
         raise SystemExit(2) from None
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _unit_interval(text: str) -> float:
@@ -158,11 +166,14 @@ def _unit_interval(text: str) -> float:
 
 def _scale_list(text: str) -> list[float]:
     try:
-        return [float(s) for s in text.split(",")]
+        scales = [float(s) for s in text.split(",")]
+        if all(np.isfinite(s) and s >= 0.0 for s in scales):
+            return scales
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be comma-separated numbers, got {text!r}"
-        ) from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be comma-separated finite non-negative numbers, got {text!r}"
+    )
 
 
 def _cmd_run(args) -> int:
@@ -245,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--eta", type=_unit_interval, default=None, help="uncertainty weighting in [0, 1]"
         )
-        p.add_argument("--seed", type=int, default=None, help=f"base seed (default {DEFAULT_SEED})")
+        p.add_argument(
+            "--seed", type=_seed, default=None, help=f"base seed (default {DEFAULT_SEED})"
+        )
         p.add_argument("--out", default="skf_out", help="output directory")
         p.add_argument("--config", default=None, help="JSON file overriding config fields")
         if name == "sweep":

@@ -20,11 +20,14 @@ search finds the zero of that slope, or the end of its bracket that the
 cost descends to, in a handful of evaluations; ``GainReport`` records
 which regime applied and how many evaluations it took.
 
-At eta = 0 the center and covariance recursions coincide exactly with
-the extended Kalman filter. ``FilterConfig`` carries eta alone. Every
-propagated covariance and shape passes through ``_condition``, which
-checks symmetry and PSD against the package tolerance and floors the
-spectrum (at ``COV_FLOOR`` for covariances, at zero for shapes).
+The beta-independent products are formed once per update, in an
+``_UpdateContext``; every gain of the step comes from it. At eta = 0 the
+center and covariance recursions coincide exactly with the extended
+Kalman filter. ``FilterConfig`` carries eta alone. ``StateBelief`` checks
+caller input strictly; the filter conditions each covariance and shape it
+computes exactly once, through ``_condition``, which checks symmetry and
+PSD against the package tolerance and floors the spectrum (at
+``COV_FLOOR`` for covariances, at zero for shapes).
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .ellipsoid import (
     Ellipsoid,
     _as_shape_matrix,
     _psd_eigmin,
-    _scale_tol,
     symmetrize,
     trace_min_sum,
 )
@@ -73,9 +75,24 @@ class NumericsError(FilterError):
     """A covariance or shape matrix violated symmetry/PD beyond tolerance."""
 
 
+def _checked(name: str, mat: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
+    """Symmetrized dim x dim matrix and its smallest eigenvalue; ValueError if not PSD."""
+    try:
+        mat = _as_shape_matrix(mat, dim)
+        return mat, _psd_eigmin(mat)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
+
+
 @dataclass(frozen=True)
 class StateBelief:
-    """State estimate: center, Gaussian covariance, and mean-set shape."""
+    """State estimate: center, Gaussian covariance, and mean-set shape.
+
+    The constructor is the strict check of caller input: cov and shape
+    must be symmetric within ``_scale_tol``, cov positive definite and
+    shape PSD. Nothing is lifted; beliefs the filter computes are built
+    by ``_conditioned_belief`` instead.
+    """
 
     center: np.ndarray
     cov: np.ndarray
@@ -85,23 +102,12 @@ class StateBelief:
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        shape = np.atleast_2d(np.asarray(self.shape, dtype=float))
-        n = center.size
-        if cov.shape != (n, n) or shape.shape != (n, n):
-            raise ValueError("cov and shape must be square matrices matching the center")
         if self.kind not in ("prior", "posterior"):
             raise ValueError(f"kind must be 'prior' or 'posterior', got {self.kind!r}")
-        for name, mat in (("cov", cov), ("shape", shape)):
-            asym = float(np.max(np.abs(mat - mat.T)))
-            if asym > _scale_tol(mat):
-                raise ValueError(f"{name} asymmetry {asym:.3e} exceeds {_scale_tol(mat):.3e}")
-        cov = symmetrize(cov)
-        shape = symmetrize(shape)
-        if float(np.linalg.eigvalsh(cov)[0]) <= 0.0:
+        cov, cov_eigmin = _checked("cov", np.atleast_2d(self.cov), center.size)
+        shape, _ = _checked("shape", np.atleast_2d(self.shape), center.size)
+        if cov_eigmin <= 0.0:
             raise ValueError("cov must be strictly positive-definite")
-        if float(np.linalg.eigvalsh(shape)[0]) < -_scale_tol(shape):
-            raise ValueError("shape must be positive semi-definite")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "shape", shape)
@@ -165,6 +171,26 @@ def _condition(mat: np.ndarray, floor: float, step: int, what: str) -> np.ndarra
     return mat
 
 
+def _conditioned_belief(
+    center: np.ndarray, cov: np.ndarray, shape: np.ndarray, kind: str, step: int
+) -> StateBelief:
+    """A belief the filter computed: each matrix passes ``_condition`` once.
+
+    The fields are set directly, so the constructor's strict check of
+    caller input does not run again on the conditioned matrices.
+    """
+    what = "predicted" if kind == "prior" else "updated"
+    belief = object.__new__(StateBelief)
+    belief.__dict__.update(
+        center=center,
+        cov=_condition(cov, COV_FLOOR, step, f"{what} cov"),
+        shape=_condition(shape, 0.0, step, f"{what} shape"),
+        kind=kind,
+        step=step,
+    )
+    return belief
+
+
 def skf_predict(
     belief: StateBelief, m: NonlinearModel, u: np.ndarray, k: int
 ) -> StateBelief:
@@ -180,52 +206,48 @@ def skf_predict(
     lin = linearize_process(m, belief.center, u, k)
     f_x, f_w = lin.f_x, lin.f_w
 
-    c_u = np.atleast_2d(np.asarray(m.process_noise_cov(k), dtype=float))
-    cov = f_x @ belief.cov @ f_x.T + f_w @ c_u @ f_w.T
-    cov = _condition(cov, COV_FLOOR, k, "predicted cov")
-
+    cov = f_x @ belief.cov @ f_x.T + f_w @ lin.process_noise_cov @ f_w.T
     terms = [symmetrize(f_x @ belief.shape @ f_x.T)]
-    for i, provider in enumerate(m.ubb_process_shapes):
-        s_i = np.atleast_2d(np.asarray(provider(k), dtype=float))
-        f_ai = lin.f_a[i]
+    for f_ai, s_i in zip(lin.f_a, lin.ubb_process_shapes):
         terms.append(symmetrize(f_ai @ s_i @ f_ai.T))
-    shape = _condition(trace_min_sum(terms), 0.0, k, "predicted shape")
-
-    return StateBelief(lin.f_value, cov, shape, "prior", k)
+    return _conditioned_belief(lin.f_value, cov, trace_min_sum(terms), "prior", k)
 
 
-def _gain(
-    belief: StateBelief,
-    lin: Linearization,
-    eta: float,
-    p_prior: float,
-    q_meas: float,
-) -> np.ndarray:
-    """Stationary gain for given inflation coefficients on the two set terms."""
-    h_x, h_v, h_b = lin.h_x, lin.h_v, lin.h_b
-    c_z, s_z = lin.meas_noise_cov, lin.meas_ubb_shape
-    c_minus, s_minus = belief.cov, belief.shape
+class _UpdateContext:
+    """The beta-independent products of one update.
 
-    cross = (1.0 - eta) * (c_minus @ h_x.T) + eta * p_prior * (s_minus @ h_x.T)
-    bracket = (1.0 - eta) * (h_x @ c_minus @ h_x.T + h_v @ c_z @ h_v.T) + eta * (
-        p_prior * (h_x @ s_minus @ h_x.T) + q_meas * (h_b @ s_z @ h_b.T)
-    )
-    bracket = symmetrize(bracket)
-    try:
-        gain = np.linalg.solve(bracket, cross.T).T
-    except np.linalg.LinAlgError as err:
-        raise SingularInnovationError(
-            "innovation-covariance bracket is singular "
-            f"(condition number {np.linalg.cond(bracket):.3e}): {err}",
-            belief.step,
-        ) from err
-    if not np.all(np.isfinite(gain)):
-        raise SingularInnovationError(
-            "innovation-covariance bracket is numerically deficient "
-            f"(condition number {np.linalg.cond(bracket):.3e})",
-            belief.step,
+    Built once per update from the prior belief, the measurement
+    linearization and eta; every gain of the step comes from ``gain``.
+    """
+
+    def __init__(self, belief: StateBelief, lin: Linearization, eta: float):
+        self.belief, self.lin, self.eta = belief, lin, eta
+        h_x, h_v, h_b = lin.h_x, lin.h_v, lin.h_b
+        self.c_ht = belief.cov @ h_x.T
+        self.s_ht = belief.shape @ h_x.T
+        self.meas_cov = h_x @ belief.cov @ h_x.T + h_v @ lin.meas_noise_cov @ h_v.T
+        self.meas_prior_shape = h_x @ belief.shape @ h_x.T
+        self.meas_set_shape = h_b @ lin.meas_ubb_shape @ h_b.T
+
+    def gain(self, p_prior: float, q_meas: float) -> np.ndarray:
+        """Stationary gain for given inflation coefficients on the two set terms."""
+        eta = self.eta
+        cross = (1.0 - eta) * self.c_ht + eta * p_prior * self.s_ht
+        bracket = (1.0 - eta) * self.meas_cov + eta * (
+            p_prior * self.meas_prior_shape + q_meas * self.meas_set_shape
         )
-    return gain
+        bracket = symmetrize(bracket)
+        try:
+            gain = np.linalg.solve(bracket, cross.T).T
+        except np.linalg.LinAlgError:
+            gain = None
+        if gain is None or not np.all(np.isfinite(gain)):
+            raise SingularInnovationError(
+                "innovation-covariance bracket is singular or numerically deficient "
+                f"(condition number {np.linalg.cond(bracket):.3e})",
+                self.belief.step,
+            )
+        return gain
 
 
 def skf_gain(
@@ -240,7 +262,7 @@ def skf_gain(
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    return _gain(belief, lin, cfg.eta, 1.0 + 1.0 / beta, 1.0 + beta)
+    return _UpdateContext(belief, lin, cfg.eta).gain(1.0 + 1.0 / beta, 1.0 + beta)
 
 
 def _update_terms(belief: StateBelief, lin: Linearization, gain: np.ndarray):
@@ -266,7 +288,7 @@ def _pair_shape(t_prior: np.ndarray, t_meas: np.ndarray, beta: float) -> np.ndar
     return (1.0 + 1.0 / beta) * t_prior + (1.0 + beta) * t_meas
 
 
-def _beta_cost(belief: StateBelief, lin: Linearization, cfg: FilterConfig):
+def _beta_cost(ctx: _UpdateContext):
     """The search objective: beta -> (J, up, down), with dJ/dlog(beta) = up - down.
 
     Everything comes from the one stationary gain K(beta):
@@ -278,12 +300,12 @@ def _beta_cost(belief: StateBelief, lin: Linearization, cfg: FilterConfig):
     point-dropping rule applied to the final shape would step at the drop
     threshold.
     """
-    eta = cfg.eta
+    eta, belief, lin = ctx.eta, ctx.belief, ctx.lin
     eye = np.eye(belief.dim)
     cov_part = (1.0 - eta) * belief.cov
 
     def cost(beta: float) -> tuple[float, float, float]:
-        gain = skf_gain(belief, lin, cfg, beta)
+        gain = ctx.gain(1.0 + 1.0 / beta, 1.0 + beta)
         ikh = eye - gain @ lin.h_x
         ikh_s = ikh @ belief.shape
         gain_b = gain @ lin.h_b
@@ -320,23 +342,22 @@ def skf_update(
         raise ValueError(f"measurement has dimension {y.size}, expected {m.meas_dim}")
     lin = linearize_measurement(m, belief.center, k)
     eta = cfg.eta
+    ctx = _UpdateContext(belief, lin, eta)
 
     # A set term with (essentially) zero trace is a single point: it adds
     # nothing to the pair bound and must not inflate the gain either, or
     # the beta search would chase an inflation factor of 1 toward the
     # bracket boundary.
     prior_set_live = float(np.trace(belief.shape)) > EPS_TRACE
-    meas_set_live = (
-        float(np.trace(lin.h_b @ lin.meas_ubb_shape @ lin.h_b.T)) > EPS_TRACE
-    )
+    meas_set_live = float(np.trace(ctx.meas_set_shape)) > EPS_TRACE
     beta_star = 1.0
     evals = 0
     if eta == 0.0:
         # Cost independent of beta: the gain is exactly the EKF gain.
         regime = "eta_zero"
-        gain = skf_gain(belief, lin, cfg, beta_star)
+        gain = ctx.gain(1.0 + 1.0 / beta_star, 1.0 + beta_star)
     elif prior_set_live and meas_set_live:
-        problem = ScalarProblem(objective=_beta_cost(belief, lin, cfg))
+        problem = ScalarProblem(objective=_beta_cost(ctx))
         try:
             beta_star, _, evals, end = minimize_scalar(problem)
         except OptimizerError as err:
@@ -344,40 +365,32 @@ def skf_update(
                 f"beta search failed on bracket {problem.bracket}: {err}", k
             ) from err
         regime = _LIMIT_REGIMES.get(end, end)
-        gain = skf_gain(belief, lin, cfg, beta_star)
+        gain = ctx.gain(1.0 + 1.0 / beta_star, 1.0 + beta_star)
     else:
         # At most one set term is live; its inflation factor collapses to 1.
         regime = "single_set"
-        gain = _gain(
-            belief,
-            lin,
-            eta,
-            1.0 if prior_set_live else 0.0,
-            1.0 if meas_set_live else 0.0,
-        )
+        gain = ctx.gain(1.0 if prior_set_live else 0.0, 1.0 if meas_set_live else 0.0)
     innovation = wrap_angles(y - lin.h_value, m.angular_mask)
     center = belief.center + gain @ innovation
     if not np.all(np.isfinite(center)):
         raise FilterError(f"updated center is not finite: {center}", k)
 
     cov_plus, t_prior, t_meas = _update_terms(belief, lin, gain)
-    shape_plus = _pair_shape(t_prior, t_meas, beta_star)
-    cov_plus = _condition(cov_plus, COV_FLOOR, k, "updated cov")
-    shape_plus = _condition(shape_plus, 0.0, k, "updated shape")
-
-    cost_at_star = (1.0 - eta) * float(np.trace(cov_plus)) + eta * float(
-        np.trace(shape_plus)
+    posterior = _conditioned_belief(
+        center, cov_plus, _pair_shape(t_prior, t_meas, beta_star), "posterior", k
     )
+    trace_cov = float(np.trace(posterior.cov))
+    trace_shape = float(np.trace(posterior.shape))
     report = GainReport(
         gain=gain,
         beta_star=float(beta_star),
-        cost_at_star=cost_at_star,
-        trace_cov=float(np.trace(cov_plus)),
-        trace_shape=float(np.trace(shape_plus)),
+        cost_at_star=(1.0 - eta) * trace_cov + eta * trace_shape,
+        trace_cov=trace_cov,
+        trace_shape=trace_shape,
         regime=regime,
         evals=evals,
     )
-    return StateBelief(center, cov_plus, shape_plus, "posterior", k), report
+    return posterior, report
 
 
 def ekf_step(
@@ -399,13 +412,11 @@ def ekf_step(
 
     lin_p = linearize_process(m, state, u, k)
     x_pred = lin_p.f_value
-    c_u = np.atleast_2d(np.asarray(m.process_noise_cov(k), dtype=float))
-    p_pred = lin_p.f_x @ cov @ lin_p.f_x.T + lin_p.f_w @ c_u @ lin_p.f_w.T
+    p_pred = lin_p.f_x @ cov @ lin_p.f_x.T + lin_p.f_w @ lin_p.process_noise_cov @ lin_p.f_w.T
     p_pred = symmetrize(p_pred)
 
     lin_m = linearize_measurement(m, x_pred, k)
-    h_x, h_v = lin_m.h_x, lin_m.h_v
-    c_z = lin_m.meas_noise_cov
+    h_x, h_v, c_z = lin_m.h_x, lin_m.h_v, lin_m.meas_noise_cov
     s_inn = symmetrize(h_x @ p_pred @ h_x.T + h_v @ c_z @ h_v.T)
     try:
         gain = np.linalg.solve(s_inn, (p_pred @ h_x.T).T).T

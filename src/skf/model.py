@@ -10,6 +10,7 @@ analytically; otherwise central finite differences are used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,10 +34,14 @@ def wrap_angles(residual: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return out
 
 
+def _matrix(value) -> np.ndarray:
+    return np.atleast_2d(np.asarray(value, dtype=float))
+
+
 def _as_provider(value) -> MatrixProvider:
     if callable(value):
         return value
-    mat = np.atleast_2d(np.asarray(value, dtype=float))
+    mat = _matrix(value)
     return lambda k, _m=mat: _m
 
 
@@ -92,30 +97,6 @@ class NonlinearModel:
                 raise ValueError("angular_mask must have one flag per measurement row")
             object.__setattr__(self, "angular_mask", mask)
 
-    @property
-    def n_ubb_process(self) -> int:
-        return len(self.ubb_process_shapes)
-
-    def process_noise_dim(self, k: int) -> int:
-        return np.atleast_2d(self.process_noise_cov(k)).shape[0]
-
-    def meas_noise_dim(self, k: int) -> int:
-        return np.atleast_2d(self.meas_noise_cov(k)).shape[0]
-
-    def ubb_process_dims(self, k: int) -> tuple[int, ...]:
-        return tuple(np.atleast_2d(s(k)).shape[0] for s in self.ubb_process_shapes)
-
-    def ubb_meas_dim(self, k: int) -> int:
-        return np.atleast_2d(self.ubb_meas_shape(k)).shape[0]
-
-    def zero_disturbances(self, k: int):
-        """(w, [a_i], v, b) zero vectors sized for step k."""
-        w = np.zeros(self.process_noise_dim(k))
-        a = [np.zeros(d) for d in self.ubb_process_dims(k)]
-        v = np.zeros(self.meas_noise_dim(k))
-        b = np.zeros(self.ubb_meas_dim(k))
-        return w, a, v, b
-
 
 @dataclass(frozen=True)
 class Linearization:
@@ -123,15 +104,17 @@ class Linearization:
 
     ``linearize_process`` fills the process part (the value f_value at the
     expansion point, f_x, f_w, f_a); ``linearize_measurement`` the
-    measurement part (h_value, h_x, h_v, h_b), along with the step's
-    measurement noise matrices so downstream gain algebra has everything
-    it needs in one place.
+    measurement part (h_value, h_x, h_v, h_b). Each also carries the
+    step's noise matrices of its part, evaluated once from the model's
+    providers, so downstream algebra has everything it needs in one place.
     """
 
     f_value: np.ndarray | None = None
     f_x: np.ndarray | None = None
     f_w: np.ndarray | None = None
     f_a: tuple[np.ndarray, ...] = ()
+    process_noise_cov: np.ndarray | None = None
+    ubb_process_shapes: tuple[np.ndarray, ...] = ()
     h_value: np.ndarray | None = None
     h_x: np.ndarray | None = None
     h_v: np.ndarray | None = None
@@ -154,6 +137,13 @@ def central_jacobian(func: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -
     return np.column_stack(cols)
 
 
+def _jacobian(analytic: Callable | None, args: tuple, func: Callable, x0: np.ndarray):
+    """The analytic Jacobian at ``args`` if given, else central differences of func at x0."""
+    if analytic is not None:
+        return _matrix(analytic(*args))
+    return central_jacobian(lambda z: np.atleast_1d(func(z)), x0)
+
+
 def _check_finite(value: np.ndarray, what: str, k: int) -> np.ndarray:
     value = np.atleast_1d(np.asarray(value, dtype=float))
     if not np.all(np.isfinite(value)):
@@ -167,42 +157,39 @@ def linearize_process(
     """Expand the process map about (x_center, u, w=0, a=0).
 
     Returns the process value at the expansion point, which must be
-    finite, together with f_x, f_w and each f_a_i.
+    finite, together with f_x, f_w, each f_a_i and the step's process
+    noise matrices; the zero disturbances are sized from those matrices.
     """
     x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
     if x_center.size != m.state_dim:
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
-    w0, a0, _, _ = m.zero_disturbances(k)
+    c_u = _matrix(m.process_noise_cov(k))
+    shapes = tuple(_matrix(provider(k)) for provider in m.ubb_process_shapes)
+    w0 = np.zeros(c_u.shape[0])
+    a0 = [np.zeros(s.shape[0]) for s in shapes]
     f_value = _check_finite(m.f(x_center, u, w0, a0, k), "process value", k)
 
-    jac = m.jacobians
-    if jac is not None and jac.f_x is not None:
-        f_x = np.atleast_2d(np.asarray(jac.f_x(x_center, u, k), dtype=float))
-    else:
-        f_x = central_jacobian(lambda x: np.atleast_1d(m.f(x, u, w0, a0, k)), x_center)
+    jac = m.jacobians or AnalyticJacobians()
+    at = (x_center, u, k)
+    f_x = _jacobian(jac.f_x, at, lambda x: m.f(x, u, w0, a0, k), x_center)
+    f_w = _jacobian(jac.f_w, at, lambda w: m.f(x_center, u, w, a0, k), w0)
 
-    if jac is not None and jac.f_w is not None:
-        f_w = np.atleast_2d(np.asarray(jac.f_w(x_center, u, k), dtype=float))
-    else:
-        f_w = central_jacobian(
-            lambda w: np.atleast_1d(m.f(x_center, u, w, a0, k)), w0
-        )
+    def f_of_a(i, ai):
+        a = list(a0)
+        a[i] = ai
+        return m.f(x_center, u, w0, a, k)
 
-    f_a = []
-    for i in range(m.n_ubb_process):
-        if jac is not None and jac.f_a is not None and jac.f_a[i] is not None:
-            f_ai = np.atleast_2d(np.asarray(jac.f_a[i](x_center, u, k), dtype=float))
-        else:
+    analytic_a = jac.f_a if jac.f_a is not None else (None,) * len(shapes)
+    f_a = [_jacobian(analytic_a[i], at, partial(f_of_a, i), a0[i]) for i in range(len(shapes))]
 
-            def _f_of_ai(ai, _i=i):
-                a = [v.copy() for v in a0]
-                a[_i] = ai
-                return np.atleast_1d(m.f(x_center, u, w0, a, k))
-
-            f_ai = central_jacobian(_f_of_ai, a0[i])
-        f_a.append(f_ai)
-
-    return Linearization(f_value=f_value, f_x=f_x, f_w=f_w, f_a=tuple(f_a))
+    return Linearization(
+        f_value=f_value,
+        f_x=f_x,
+        f_w=f_w,
+        f_a=tuple(f_a),
+        process_noise_cov=c_u,
+        ubb_process_shapes=shapes,
+    )
 
 
 def linearize_measurement(m: NonlinearModel, x_center: np.ndarray, k: int) -> Linearization:
@@ -214,30 +201,23 @@ def linearize_measurement(m: NonlinearModel, x_center: np.ndarray, k: int) -> Li
     x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
     if x_center.size != m.state_dim:
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
-    _, _, v0, b0 = m.zero_disturbances(k)
+    c_z = _matrix(m.meas_noise_cov(k))
+    s_z = _matrix(m.ubb_meas_shape(k))
+    v0 = np.zeros(c_z.shape[0])
+    b0 = np.zeros(s_z.shape[0])
     h_value = _check_finite(m.h(x_center, v0, b0, k), "measurement value", k)
 
-    jac = m.jacobians
-    if jac is not None and jac.h_x is not None:
-        h_x = np.atleast_2d(np.asarray(jac.h_x(x_center, k), dtype=float))
-    else:
-        h_x = central_jacobian(lambda x: np.atleast_1d(m.h(x, v0, b0, k)), x_center)
-
-    if jac is not None and jac.h_v is not None:
-        h_v = np.atleast_2d(np.asarray(jac.h_v(x_center, k), dtype=float))
-    else:
-        h_v = central_jacobian(lambda v: np.atleast_1d(m.h(x_center, v, b0, k)), v0)
-
-    if jac is not None and jac.h_b is not None:
-        h_b = np.atleast_2d(np.asarray(jac.h_b(x_center, k), dtype=float))
-    else:
-        h_b = central_jacobian(lambda b: np.atleast_1d(m.h(x_center, v0, b, k)), b0)
+    jac = m.jacobians or AnalyticJacobians()
+    at = (x_center, k)
+    h_x = _jacobian(jac.h_x, at, lambda x: m.h(x, v0, b0, k), x_center)
+    h_v = _jacobian(jac.h_v, at, lambda v: m.h(x_center, v, b0, k), v0)
+    h_b = _jacobian(jac.h_b, at, lambda b: m.h(x_center, v0, b, k), b0)
 
     return Linearization(
         h_value=h_value,
         h_x=h_x,
         h_v=h_v,
         h_b=h_b,
-        meas_noise_cov=np.atleast_2d(np.asarray(m.meas_noise_cov(k), dtype=float)),
-        meas_ubb_shape=np.atleast_2d(np.asarray(m.ubb_meas_shape(k), dtype=float)),
+        meas_noise_cov=c_z,
+        meas_ubb_shape=s_z,
     )

@@ -34,11 +34,6 @@ def random_spd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarr
     return scale * (a @ a.T + n * np.eye(n))
 
 
-def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    a = rng.standard_normal((n, n))
-    return scale * (a @ a.T)
-
-
 def gain_cost(
     gain: np.ndarray,
     beta: float,

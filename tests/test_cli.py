@@ -100,6 +100,10 @@ class TestRunCommand:
             ("example1", "--trials", "0"),
             ("example2", "--steps", "0"),
             ("sweep", "--scales", "1,x"),
+            ("sweep", "--scales", "1,-2"),
+            ("sweep", "--scales", "nan"),
+            ("sweep", "--scales", "1,inf"),
+            ("example1", "--seed", "-1"),
         ],
     )
     def test_bad_flag_value_exits_2_before_output(self, tmp_path, capsys, command, flag, value):

@@ -75,6 +75,13 @@ class TestStateBelief:
             StateBelief([0.0], [[0.0]], [[1.0]], "prior", 0)
         with pytest.raises(ValueError, match="kind"):
             StateBelief([0.0], [[1.0]], [[1.0]], "smoothed", 0)
+        with pytest.raises(ValueError, match="expected 2x2"):
+            StateBelief([0.0, 0.0], np.eye(3), np.eye(2), "prior", 0)
+        with pytest.raises(ValueError, match="shape"):
+            StateBelief([0.0, 0.0], np.eye(2), np.diag([1.0, -1.0]), "prior", 0)
+        # a scalar state takes a 1-D cov, and a caller's tiny cov is kept as given
+        assert StateBelief([0.0], [2.0], [[1.0]], "prior", 0).cov.tolist() == [[2.0]]
+        assert StateBelief([0.0], [[1e-16]], [[1.0]], "prior", 0).cov[0, 0] == 1e-16
 
     def test_mean_set(self):
         b = StateBelief([1.0], [[2.0]], [[4.0]], "posterior", 3)
@@ -403,8 +410,19 @@ class TestGainRegime:
 
 class TestModelEvaluations:
     def test_maps_evaluated_once_per_step(self):
-        # the linearization's values serve as predicted center and measurement
+        # the linearization's values serve as predicted center and measurement,
+        # and its matrices as the step's noise covariances and shapes
         calls = {"f": 0, "h": 0}
+        providers = ("process_cov", "process_shape", "meas_cov", "meas_shape")
+
+        def counted(name):
+            calls[name] = 0
+
+            def provider(k):
+                calls[name] += 1
+                return np.eye(1)
+
+            return provider
 
         def f(x, u, w, a, k):
             calls["f"] += 1
@@ -420,10 +438,10 @@ class TestModelEvaluations:
             meas_dim=1,
             f=f,
             h=h,
-            process_noise_cov=np.eye(1),
-            ubb_process_shapes=(np.eye(1),),
-            meas_noise_cov=np.eye(1),
-            ubb_meas_shape=np.eye(1),
+            process_noise_cov=counted("process_cov"),
+            ubb_process_shapes=(counted("process_shape"),),
+            meas_noise_cov=counted("meas_cov"),
+            ubb_meas_shape=counted("meas_shape"),
             jacobians=AnalyticJacobians(
                 f_x=lambda x, u, k: 0.9 * np.eye(1),
                 f_w=lambda x, u, k: np.eye(1),
@@ -439,11 +457,11 @@ class TestModelEvaluations:
         for k in range(1, steps + 1):
             prior = skf_predict(belief, m, np.array([0.1]), k)
             belief, _ = skf_update(prior, np.array([1.5]), m, FilterConfig(eta=0.5), k)
-        assert calls == {"f": steps, "h": steps}
-        calls.update(f=0, h=0)
+        assert calls == dict.fromkeys(("f", "h") + providers, steps)
+        calls.update(dict.fromkeys(calls, 0))
         for k in range(1, steps + 1):
             x, p = ekf_step(x, p, np.array([0.1]), np.array([1.5]), m, k)
-        assert calls == {"f": steps, "h": steps}
+        assert calls == dict.fromkeys(("f", "h") + providers, steps)
 
 
 class TestEkf:
@@ -518,6 +536,34 @@ class TestNumericalHygiene:
         shape = np.array([[1.0, 0.0], [0.0, -1e-12]])
         lifted = flt._condition(shape, 0.0, step=1, what="shape")
         assert np.array_equal(lifted, shape - (-1e-12) * np.eye(2))
+
+    @pytest.mark.parametrize("scale", [1e2, 1e4])
+    def test_rank_deficient_prediction_is_conditioned_once(self, scale):
+        # F C F^T is singular: its zero eigenvalue is lifted to 1.001 * COV_FLOOR,
+        # far below the eps * |C| rounding of a second eigvalsh check.
+        import skf.filter as flt
+
+        f_mat = np.array([[1.0, 1.0], [1.0, 1.0]])
+        m = NonlinearModel(
+            state_dim=2,
+            input_dim=2,
+            meas_dim=2,
+            f=lambda x, u, w, a, k: f_mat @ x + u + w,
+            h=lambda x, v, b, k: x + v + b,
+            process_noise_cov=np.zeros((2, 2)),
+            ubb_process_shapes=(),
+            meas_noise_cov=np.eye(2),
+            ubb_meas_shape=np.eye(2),
+            jacobians=AnalyticJacobians(
+                f_x=lambda x, u, k: f_mat, f_w=lambda x, u, k: np.eye(2), f_a=()
+            ),
+        )
+        cov0 = scale * np.eye(2)
+        belief = StateBelief(np.zeros(2), cov0, np.eye(2), "posterior", 0)
+        prior = skf_predict(belief, m, np.zeros(2), 1)
+        assert np.array_equal(prior.cov, prior.cov.T)
+        expected = flt._condition(f_mat @ cov0 @ f_mat.T, flt.COV_FLOOR, step=1, what="cov")
+        assert np.array_equal(prior.cov, expected)
 
     def test_hygiene_violation_raises(self):
         import skf.filter as flt

@@ -23,6 +23,7 @@ from skf.filter import (
     FilterConfig,
     NumericsError,
     StateBelief,
+    _UpdateContext,
     _beta_cost,
     _condition,
     _update_terms,
@@ -138,7 +139,8 @@ def update_problems(draw):
         meas_ubb_shape=spd(m),
     )
     cfg = FilterConfig(eta=draw(st.sampled_from([0.25, 0.5, 0.75])))
-    result = minimize_scalar(ScalarProblem(objective=_beta_cost(belief, lin, cfg)))
+    ctx = _UpdateContext(belief, lin, cfg.eta)
+    result = minimize_scalar(ScalarProblem(objective=_beta_cost(ctx)))
     return belief, lin, cfg, scale, result
 
 
