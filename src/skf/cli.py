@@ -52,42 +52,37 @@ def _config_to_jsonable(cfg: ExperimentConfig) -> dict:
     return out
 
 
+class _UsageError(Exception):
+    """A flag or environment value that ``main`` reports as a usage error (exit 2)."""
+
+
 def _apply_config_file(cfg: ExperimentConfig, path: str) -> ExperimentConfig:
+    """``cfg`` with the fields of a JSON object replaced; ``ExperimentConfig`` checks them."""
     with open(path) as fh:
         overrides = json.load(fh)
-    known = {f.name for f in dataclasses.fields(cfg)}
-    unknown = set(overrides) - known
+    if not isinstance(overrides, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    unknown = set(overrides) - {f.name for f in dataclasses.fields(cfg)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    fixed = {}
-    for key, value in overrides.items():
-        if key == "ubb_process_shapes":
-            fixed[key] = tuple(np.asarray(v, dtype=float) for v in value)
-        elif key == "stations":
-            fixed[key] = tuple(tuple(float(c) for c in s) for s in value)
-        elif isinstance(value, list):
-            fixed[key] = np.asarray(value, dtype=float)
-        else:
-            fixed[key] = value
-    return dataclasses.replace(cfg, **fixed)
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    base = example1_config() if args.command == "example1" else example2_config()
+    """Defaults, then the config file (a bad value exits 1), then each flag (exits 2)."""
+    cfg = example1_config() if args.command == "example1" else example2_config()
     if args.command == "sweep":
-        base = example2_config(trials=1)
+        cfg = example2_config(trials=1)
     if args.config:
-        base = _apply_config_file(base, args.config)
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return dataclasses.replace(base, **overrides) if overrides else base
+        cfg = _apply_config_file(cfg, args.config)
+    for name in ("trials", "steps", "eta", "seed"):
+        value = getattr(args, name)
+        if value is not None:
+            try:
+                cfg = dataclasses.replace(cfg, **{name: value})
+            except ValueError as err:
+                raise _UsageError(f"argument --{name}: {err}") from None
+    return cfg
 
 
 def _csv_header(cfg: ExperimentConfig, meas_dim: int) -> list[str]:
@@ -131,62 +126,39 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _workers() -> int:
-    """Worker count from ``SKF_THREADS`` (default 1); malformed values exit 2."""
+    """Worker count from ``SKF_THREADS`` (default 1); malformed values are usage errors."""
     env = os.environ.get("SKF_THREADS", "")
-    if not env:
-        return 1
     try:
-        return max(1, int(env))
+        return max(1, int(env)) if env else 1
     except ValueError:
-        print(f"skf: error: SKF_THREADS must be an integer, got {env!r}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
-def _int_at_least(text: str, low: int) -> int:
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _seed(text: str) -> int:
-    return _int_at_least(text, 0)
-
-
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
+        raise _UsageError(f"SKF_THREADS must be an integer, got {env!r}") from None
 
 
 def _scale_list(text: str) -> list[float]:
     try:
-        scales = [float(s) for s in text.split(",")]
-        if all(np.isfinite(s) and s >= 0.0 for s in scales):
-            return scales
+        return [float(s) for s in text.split(",")]
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"must be comma-separated finite non-negative numbers, got {text!r}"
-    )
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}"
+        ) from None
 
 
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
     workers = _workers()
+    configs = [cfg]
+    if args.command == "sweep":
+        try:
+            configs = [scaled_config(cfg, scale) for scale in args.scales]
+        except ValueError as err:
+            raise _UsageError(f"argument --scales: {err}") from None
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
 
+    batches = [run_trials(c, workers=workers) for c in configs]
     if args.command == "sweep":
         scales = args.scales
-        configs = [scaled_config(cfg, scale) for scale in scales]
-        batches = [run_trials(scaled, workers=workers) for scaled in configs]
         summary = {
             "command": "sweep",
             "scales": scales,
@@ -197,7 +169,6 @@ def _cmd_run(args) -> int:
             },
         }
     else:
-        batches = [run_trials(cfg, workers=workers)]
         summary = aggregate(batches[0], cfg)
         summary["command"] = args.command
 
@@ -227,7 +198,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    results = run_all(quick=args.quick)
+    results = run_all()
     failed = False
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -249,16 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "bounded-uncertainty sensitivity sweep (example2)"),
     ):
         p = sub.add_parser(name, help=text)
-        p.add_argument(
-            "--trials", type=_positive_int, default=None, help="number of Monte Carlo trials"
-        )
-        p.add_argument("--steps", type=_positive_int, default=None, help="steps per trial")
-        p.add_argument(
-            "--eta", type=_unit_interval, default=None, help="uncertainty weighting in [0, 1]"
-        )
-        p.add_argument(
-            "--seed", type=_seed, default=None, help=f"base seed (default {DEFAULT_SEED})"
-        )
+        p.add_argument("--trials", type=int, help="number of Monte Carlo trials")
+        p.add_argument("--steps", type=int, help="steps per trial")
+        p.add_argument("--eta", type=float, help="uncertainty weighting in [0, 1]")
+        p.add_argument("--seed", type=int, help=f"base seed (default {DEFAULT_SEED})")
         p.add_argument("--out", default="skf_out", help="output directory")
         p.add_argument("--config", default=None, help="JSON file overriding config fields")
         if name == "sweep":
@@ -268,11 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
                 default="1,10,100",
                 help="comma-separated semi-axis scales",
             )
-        p.set_defaults(handler=_cmd_run)
+        p.set_defaults(handler=_cmd_run, parser=p)
 
     v = sub.add_parser("validate", help="run the built-in invariant suite")
-    v.add_argument("--quick", action="store_true", help="reduced sample counts")
-    v.set_defaults(handler=_cmd_validate)
+    v.set_defaults(handler=_cmd_validate, parser=v)
     return parser
 
 
@@ -281,6 +245,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except _UsageError as err:
+        args.parser.error(str(err))
     except (FilterError, ExperimentError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -118,9 +118,9 @@ def affine_image(e: Ellipsoid, a, b=None) -> Ellipsoid:
 def contains(e: Ellipsoid, x, slack: float = 0.0) -> bool:
     """Membership test (x - c)^T S^{-1} (x - c) <= 1 + slack.
 
-    Solved through a Cholesky factorization, never an explicit inverse.
-    Degenerate ellipsoids are rejected: the quadratic form is unbounded
-    on flat directions.
+    Solved against the Cholesky factor L of S as |L^{-1} (x - c)|^2,
+    never through an explicit inverse. Degenerate ellipsoids are rejected:
+    the quadratic form is unbounded on flat directions.
     """
     if slack < 0:
         raise ValueError("slack must be nonnegative")
@@ -131,11 +131,8 @@ def contains(e: Ellipsoid, x, slack: float = 0.0) -> bool:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != e.dim:
         raise ValueError(f"point has dimension {x.size}, expected {e.dim}")
-    from scipy.linalg import cho_factor, cho_solve
-
-    d = x - e.center
-    q = float(d @ cho_solve(cho_factor(e.shape, lower=True), d))
-    return q <= 1.0 + slack
+    z = np.linalg.solve(np.linalg.cholesky(e.shape), x - e.center)
+    return float(z @ z) <= 1.0 + slack
 
 
 def pair_sum_shape(s1, s2, beta: float) -> np.ndarray:

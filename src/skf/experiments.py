@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -71,19 +72,34 @@ class ExperimentConfig:
     dt: float = 0.1
 
     def __post_init__(self):
+        """The one check of every setting; each message names its field."""
         if self.which not in ("example1", "example2"):
-            raise ValueError(f"unknown experiment {self.which!r}")
-        if self.steps < 1 or self.trials < 1:
-            raise ValueError("steps and trials must be at least 1")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
-        for name in ("x0", "cov0", "shape0", "process_cov", "meas_cov", "ubb_meas_shape"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(
-            self,
-            "ubb_process_shapes",
-            tuple(np.asarray(s, dtype=float) for s in self.ubb_process_shapes),
-        )
+            raise ValueError(f"which must be 'example1' or 'example2', got {self.which!r}")
+        for name, low in (("steps", 1), ("trials", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "eta", FilterConfig(eta=self.eta).eta)
+        dt = self.dt
+        if isinstance(dt, bool) or not isinstance(dt, Real) or not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be a positive finite real number, got {dt!r}")
+        object.__setattr__(self, "dt", float(dt))
+        matrices = ("x0", "cov0", "shape0", "process_cov", "meas_cov", "ubb_meas_shape")
+        for name in matrices + ("ubb_process_shapes", "stations"):
+            value = getattr(self, name)
+            try:
+                if name in matrices:
+                    value = np.asarray(value, dtype=float)
+                elif name == "ubb_process_shapes":
+                    value = tuple(np.asarray(s, dtype=float) for s in value)
+                elif value is not None:
+                    value = tuple((float(x), float(y)) for x, y in value)
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"{name}: {err}") from None
+            object.__setattr__(self, name, value)
+        if self.which == "example2" and self.stations is None:
+            raise ValueError("which 'example2' requires stations")
 
     @property
     def position_dims(self) -> tuple[int, ...]:
@@ -241,8 +257,6 @@ def build_model(cfg: ExperimentConfig) -> NonlinearModel:
             ubb_meas_shape=cfg.ubb_meas_shape,
             jacobians=_ex1_jacobians(),
         )
-    if cfg.stations is None:
-        raise ValueError("example2 requires station coordinates")
     f_mat = transition_matrix(cfg.dt)
     h, h_x = _ex2_h_factory(cfg.stations)
 
@@ -282,23 +296,39 @@ def _psd_factor(shape: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(vals)
 
 
-def uniform_in_ellipsoid(rng: np.random.Generator, shape: np.ndarray) -> np.ndarray:
-    """Uniform draw from the solid ellipsoid {x : x^T S^{-1} x <= 1}."""
+def _uniform_sampler(shape: np.ndarray):
+    """``rng -> x``, uniform on the solid ellipsoid {x : x^T S^{-1} x <= 1}, factored once.
+
+    A shape whose trace is at most ``EPS_TRACE`` is a point: its draw is
+    zero and consumes no random numbers.
+    """
     shape = np.atleast_2d(np.asarray(shape, dtype=float))
     n = shape.shape[0]
     if float(np.trace(shape)) <= EPS_TRACE:
-        return np.zeros(n)
-    direction = rng.standard_normal(n)
-    norm = np.linalg.norm(direction)
-    while norm < 1e-12:
+        return lambda rng: np.zeros(n)
+    factor = _psd_factor(shape)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
         direction = rng.standard_normal(n)
         norm = np.linalg.norm(direction)
-    radius = rng.uniform() ** (1.0 / n)
-    return _psd_factor(shape) @ (radius * direction / norm)
+        while norm < 1e-12:
+            direction = rng.standard_normal(n)
+            norm = np.linalg.norm(direction)
+        radius = rng.uniform() ** (1.0 / n)
+        return factor @ (radius * direction / norm)
+
+    return draw
 
 
-def _gaussian_draw(rng: np.random.Generator, cov: np.ndarray) -> np.ndarray:
-    return _psd_factor(cov) @ rng.standard_normal(cov.shape[0])
+def uniform_in_ellipsoid(rng: np.random.Generator, shape: np.ndarray) -> np.ndarray:
+    """Uniform draw from the solid ellipsoid {x : x^T S^{-1} x <= 1}."""
+    return _uniform_sampler(shape)(rng)
+
+
+def _gaussian_sampler(cov: np.ndarray):
+    """``rng -> x`` with x ~ N(0, cov), factored once."""
+    factor = _psd_factor(cov)
+    return lambda rng: factor @ rng.standard_normal(cov.shape[0])
 
 
 def ex2_nominal_kicks(steps: int, dt: float) -> np.ndarray:
@@ -338,7 +368,8 @@ def simulate_truth(cfg: ExperimentConfig, rng: np.random.Generator):
     initial state and one measurement row per step.
 
     Draw order per step is fixed (w, bounded process, v, bounded
-    measurement) so identical seeds give identical realizations.
+    measurement) so identical seeds give identical realizations. Each
+    covariance and shape is factored once, before the first step.
     """
     model = build_model(cfg)
     n = model.state_dim
@@ -347,23 +378,27 @@ def simulate_truth(cfg: ExperimentConfig, rng: np.random.Generator):
     measurements = np.zeros((cfg.steps, model.meas_dim))
 
     kicks = None
-    draw_shapes = [np.asarray(s, dtype=float) for s in cfg.ubb_process_shapes]
+    draw_shapes = cfg.ubb_process_shapes
     if cfg.which == "example2":
         kicks = ex2_nominal_kicks(cfg.steps, cfg.dt)
         draw_shapes = [_EX2_UBB_DRAW_FRACTION**2 * s for s in draw_shapes]
+    draw_w = _gaussian_sampler(cfg.process_cov)
+    draw_a = [_uniform_sampler(s) for s in draw_shapes]
+    draw_v = _gaussian_sampler(cfg.meas_cov)
+    draw_b = _uniform_sampler(cfg.ubb_meas_shape)
 
     x = np.array(cfg.x0, dtype=float)
     for k in range(1, cfg.steps + 1):
         u = input_vector(cfg, k)
-        w = _gaussian_draw(rng, cfg.process_cov)
-        a = [uniform_in_ellipsoid(rng, s) for s in draw_shapes]
+        w = draw_w(rng)
+        a = [draw(rng) for draw in draw_a]
         if kicks is not None and a:
             a[0] = a[0] + np.concatenate([np.zeros(2), kicks[k - 1]])
         x = np.asarray(model.f(x, u, w, a, k), dtype=float)
         if not np.all(np.isfinite(x)):
             raise ExperimentError(f"truth overflowed at step {k}: {x}")
-        v = _gaussian_draw(rng, cfg.meas_cov)
-        b = uniform_in_ellipsoid(rng, cfg.ubb_meas_shape)
+        v = draw_v(rng)
+        b = draw_b(rng)
         measurements[k - 1] = np.asarray(model.h(x, v, b, k), dtype=float)
         states[k] = x
     return states, measurements
@@ -584,8 +619,8 @@ def scaled_config(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
     Shape matrices scale quadratically: semi-axes are square roots of
     eigenvalues.
     """
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
+    if not 0.0 <= scale < math.inf:
+        raise ValueError(f"scale must be finite and non-negative, got {scale!r}")
     return dataclasses.replace(
         cfg,
         ubb_process_shapes=tuple(scale**2 * s for s in cfg.ubb_process_shapes),

@@ -23,16 +23,18 @@ which regime applied and how many evaluations it took.
 The beta-independent products are formed once per update, in an
 ``_UpdateContext``; every gain of the step comes from it. At eta = 0 the
 center and covariance recursions coincide exactly with the extended
-Kalman filter. ``FilterConfig`` carries eta alone. ``StateBelief`` checks
-caller input strictly; the filter conditions each covariance and shape it
-computes exactly once, through ``_condition``, which checks symmetry and
-PSD against the package tolerance and floors the spectrum (at
-``COV_FLOOR`` for covariances, at zero for shapes).
+Kalman filter. ``FilterConfig`` carries eta alone, a real number in
+[0, 1]. ``StateBelief`` checks caller input strictly; the filter
+conditions each covariance and shape it computes exactly once, through
+``_condition``, which checks symmetry and PSD against the package
+tolerance and floors the spectrum (at ``COV_FLOOR`` for covariances, at
+zero for shapes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Literal
 
 import numpy as np
@@ -123,13 +125,15 @@ class StateBelief:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Update-step setting: the weight eta of the set term in the cost."""
+    """Update-step setting: the weight eta of the set term in the cost, a real in [0, 1]."""
 
     eta: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        eta = self.eta
+        if isinstance(eta, bool) or not isinstance(eta, Real) or not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must be a real number in [0, 1], got {eta!r}")
+        object.__setattr__(self, "eta", float(eta))
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,8 @@ def linearize_process(
     x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
     if x_center.size != m.state_dim:
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
+    if np.size(u) != m.input_dim:
+        raise ValueError(f"input has dimension {np.size(u)}, expected {m.input_dim}")
     c_u = _matrix(m.process_noise_cov(k))
     shapes = tuple(_matrix(provider(k)) for provider in m.ubb_process_shapes)
     w0 = np.zeros(c_u.shape[0])

@@ -17,6 +17,9 @@ interior minimizer is a zero of G(t) = log(up) - log(down):
 An end whose slope sign the values contradict (a slope at rounding level
 pointing the wrong way) does not settle the regime; the interior search
 then runs, and if it closes in on an end, that end is returned as above.
+
+A problem sets only its objective and its bracket. The accuracy ``TOL``
+(1e-8 in t) and the evaluation cap ``MAX_ITERS`` (200) are constants.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+TOL = 1e-8  # accuracy of the minimizer in t = log(beta)
+MAX_ITERS = 200  # evaluations of the search between the bracket ends
 MAX_EXPANSIONS = 5
 T_LIMIT = 700.0  # exp(t) stays within double range
 
@@ -39,22 +44,17 @@ class ScalarProblem:
 
     ``objective(beta)`` returns ``(value, up, down)``: the cost and two
     non-negative parts of its log-slope, dJ/dlog(beta) = up - down.
-    ``bracket`` is given in t = log(beta) space, ``tol`` is the accuracy
-    of the minimizer in t, and ``max_iters`` bounds the evaluations of the
-    search between the bracket ends.
+    ``bracket`` is given in t = log(beta) space. The accuracy ``TOL`` and
+    the evaluation cap ``MAX_ITERS`` are module constants.
     """
 
     objective: Callable[[float], tuple[float, float, float]]
     bracket: tuple[float, float] = (-20.0, 20.0)
-    tol: float = 1e-8
-    max_iters: int = 200
 
     def __post_init__(self):
         lo, hi = self.bracket
         if not lo < hi:
             raise ValueError(f"bracket must satisfy lo < hi, got {self.bracket}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
 
 
 class ScalarResult(NamedTuple):
@@ -114,7 +114,7 @@ def _secant(prev: _Point | None, cur: _Point) -> float | None:
     return cur.t - g_cur * (cur.t - prev.t) / (g_cur - g_prev)
 
 
-def _root(objective, lo: _Point, hi: _Point, tol: float, max_iters: int):
+def _root(objective, lo: _Point, hi: _Point):
     """Zero of the slope between lo and hi, taken as slope < 0 and slope > 0.
 
     Starts from the end with the larger |G|: its fixed-point step moves
@@ -126,15 +126,15 @@ def _root(objective, lo: _Point, hi: _Point, tol: float, max_iters: int):
     ends = [p for p in (a, b) if _log_ratio(p) is not None]
     cur = max(ends, key=lambda p: abs(_log_ratio(p))) if ends else a
     prev = None
-    for evals in range(max_iters + 1):
-        if b.t - a.t <= tol:
+    for evals in range(MAX_ITERS + 1):
+        if b.t - a.t <= TOL:
             return 0.5 * (a.t + b.t), cur, evals
         t = _secant(prev, cur)
         if t is None or not a.t < t < b.t:
             t = 0.5 * (a.t + b.t)
-        elif abs(t - cur.t) <= tol:
+        elif abs(t - cur.t) <= TOL:
             return t, cur, evals
-        if evals == max_iters:
+        if evals == MAX_ITERS:
             break
         prev, cur = cur, _eval(objective, t)
         if cur.up == cur.down:
@@ -144,7 +144,7 @@ def _root(objective, lo: _Point, hi: _Point, tol: float, max_iters: int):
         else:
             b = cur
     raise OptimizerError(
-        f"slope zero not located to {tol:.3g} in {max_iters} evaluations "
+        f"slope zero not located to {TOL:.3g} in {MAX_ITERS} evaluations "
         f"(bracket [{a.t:.6g}, {b.t:.6g}] in log space)"
     )
 
@@ -153,10 +153,10 @@ def minimize_scalar(p: ScalarProblem) -> ScalarResult:
     """Minimize ``p.objective`` over beta > 0 by root-finding on its log-slope.
 
     Both bracket ends are evaluated first. Where the slope changes sign
-    from negative to positive between them, the zero is found to ``p.tol``
+    from negative to positive between them, the zero is found to ``TOL``
     in log space. Otherwise the end the cost descends to is returned, after
     doubling the bracket on that side (up to ``MAX_EXPANSIONS`` times) while
-    the descent across the last ``4 * tol`` still exceeds 1e-12 of the
+    the descent across the last ``4 * TOL`` still exceeds 1e-12 of the
     value; descent that persists beyond that is reported as an error. The
     result is bit-deterministic in its inputs.
     """
@@ -170,14 +170,14 @@ def minimize_scalar(p: ScalarProblem) -> ScalarResult:
         # at rounding level that the values contradict.
         lower = lo.up >= lo.down and lo.value <= hi.value
         if not (lower or (hi.up <= hi.down and hi.value <= lo.value)):
-            t, at, n = _root(p.objective, lo, hi, p.tol, p.max_iters)
+            t, at, n = _root(p.objective, lo, hi)
             evals += n
-            if t - lo.t > p.tol and hi.t - t > p.tol:
+            if t - lo.t > TOL and hi.t - t > TOL:
                 return ScalarResult(math.exp(t), at.value, evals, "interior")
-            lower = t - lo.t <= p.tol
+            lower = t - lo.t <= TOL
         end = lo if lower else hi
         outward = (end.up - end.down) * (1.0 if lower else -1.0)
-        if outward * 4.0 * p.tol <= 1e-12 * max(1.0, abs(end.value)):
+        if outward * 4.0 * TOL <= 1e-12 * max(1.0, abs(end.value)):
             return ScalarResult(math.exp(end.t), end.value, evals, "lower" if lower else "upper")
         width = hi.t - lo.t
         t_new = max(lo.t - width, -T_LIMIT) if lower else min(hi.t + width, T_LIMIT)

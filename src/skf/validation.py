@@ -219,15 +219,8 @@ def check_gain_stationarity(configs: int = 30, seed: int = 4) -> CheckResult:
     )
 
 
-def run_all(quick: bool = False) -> list[CheckResult]:
-    """The full invariant suite; ``quick`` shrinks the sample counts."""
-    if quick:
-        return [
-            check_sum_containment(families=10, draws=500),
-            check_pair_closed_form(cases=10),
-            check_eta_zero_reduction(steps=20),
-            check_gain_stationarity(configs=5),
-        ]
+def run_all() -> list[CheckResult]:
+    """The full invariant suite."""
     return [
         check_sum_containment(),
         check_pair_closed_form(),

@@ -81,6 +81,35 @@ class TestRunCommand:
         assert manifest["config"]["steps"] == 4
         assert manifest["config"]["eta"] == 0.25
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("trials", 2.5),
+            ("seed", 1.5),
+            ("steps", "3"),
+            ("eta", "abc"),
+            ("seed", -1),
+            ("eta", True),
+            ("dt", "x"),
+            ("stations", [[1, 2, 3], [0, 0]]),
+            ("x0", ["a"]),
+            ("which", "example2"),
+        ],
+    )
+    def test_bad_config_value_exits_1_before_output(self, tmp_path, capsys, key, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        out = tmp_path / "bad"
+        assert main(["example1", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text("5")
+        assert main(["example1", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+        assert "JSON object" in capsys.readouterr().err
+
     def test_unknown_config_key_fails(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"nope": 1}))
@@ -98,6 +127,7 @@ class TestRunCommand:
         [
             ("example1", "--eta", "1.5"),
             ("example1", "--trials", "0"),
+            ("example1", "--trials", "2.5"),
             ("example2", "--steps", "0"),
             ("sweep", "--scales", "1,x"),
             ("sweep", "--scales", "1,-2"),
@@ -186,7 +216,7 @@ class TestValidateCommand:
         import time
 
         start = time.perf_counter()
-        assert main(["validate", "--quick"]) == 0
+        assert main(["validate"]) == 0
         assert time.perf_counter() - start < 10.0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
@@ -211,6 +241,6 @@ class TestValidateCommand:
 
     def test_failure_exits_1(self, monkeypatch):
         failing = skf.validation.CheckResult("broken", False, "synthetic")
-        monkeypatch.setattr(skf.validation, "run_all", lambda quick=False: [failing])
+        monkeypatch.setattr(skf.validation, "run_all", lambda: [failing])
         monkeypatch.setattr("skf.cli.run_all", skf.validation.run_all)
         assert main(["validate"]) == 1

@@ -67,8 +67,9 @@ class TestConfigs:
         assert input_vector(cfg, 2)[0] == pytest.approx(8.0 * np.cos(1.2))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            example1_config(trials=0)
+        for key, value in (("trials", 0), ("seed", -1), ("trials", 2.5), ("eta", "0.5")):
+            with pytest.raises(ValueError, match=key):
+                example1_config(**{key: value})
         with pytest.raises(ValueError):
             dataclasses.replace(example1_config(), which="example3")
 
@@ -351,8 +352,9 @@ class TestSensitivity:
         )
 
     def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError):
-            scaled_config(example2_config(), -1.0)
+        for scale in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                scaled_config(example2_config(), scale)
 
 
 class TestParallelism:

@@ -92,10 +92,9 @@ class TestStateBelief:
 
 class TestFilterConfig:
     def test_eta_bounds(self):
-        with pytest.raises(ValueError):
-            FilterConfig(eta=1.5)
-        with pytest.raises(ValueError):
-            FilterConfig(eta=-0.1)
+        for bad in (1.5, -0.1, True, "0.5"):
+            with pytest.raises(ValueError):
+                FilterConfig(eta=bad)
 
 
 class TestPredict:

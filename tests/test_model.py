@@ -84,6 +84,11 @@ class TestLinearizeProcess:
         with pytest.raises(ModelEvaluationError):
             linearize_process(m, np.zeros(1), np.zeros(1), k=4)
 
+    def test_input_of_wrong_size_rejected(self):
+        m = build_model(example1_config())
+        with pytest.raises(ValueError, match="input has dimension 2, expected 1"):
+            linearize_process(m, np.zeros(1), np.zeros(2), k=1)
+
 
 class TestLinearizeMeasurement:
     def test_linear_measurement_has_zero_remainder(self):

@@ -92,10 +92,6 @@ class TestBracketHandling:
         with pytest.raises(ValueError):
             ScalarProblem(objective=lambda b: parts(b, b), bracket=(1.0, 1.0))
 
-    def test_invalid_tol_rejected(self):
-        with pytest.raises(ValueError):
-            ScalarProblem(objective=lambda b: parts(b, b), tol=0.0)
-
 
 class TestRegimes:
     def test_lower_limit_returns_end_exactly(self):
