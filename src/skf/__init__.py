@@ -20,7 +20,7 @@ from .ellipsoid import (
 from .experiments import (
     ExperimentConfig,
     ExperimentError,
-    TrialRecord,
+    Trial,
     aggregate,
     example1_config,
     example2_config,
@@ -71,7 +71,7 @@ __all__ = [
     "ScalarProblem",
     "SingularInnovationError",
     "StateBelief",
-    "TrialRecord",
+    "Trial",
     "affine_image",
     "aggregate",
     "contains",

@@ -1,6 +1,6 @@
 """Command-line front end: run experiments, sweeps, and the invariant suite.
 
-Per-step records go to ``trials.csv`` (fixed column order, one row per
+Per-step results go to ``trials.csv`` (fixed column order, one row per
 step per trial), aggregate results to ``summary.json``, and the fully
 resolved configuration plus provenance to ``manifest.json``. Identical
 seeds and configurations produce byte-identical CSV and summary files;
@@ -96,27 +96,15 @@ def _csv_header(cfg: ExperimentConfig, meas_dim: int) -> list[str]:
     return cols
 
 
-def _write_trials_csv(path: str, cfg: ExperimentConfig, batches) -> None:
-    meas_dim = batches[0][0][0].measurement.size
+def _write_trials_csv(path: str, cfg: ExperimentConfig, trials) -> None:
+    """One row per step of each trial, trials numbered in list order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_csv_header(cfg, meas_dim))
-        trial_id = 0
-        for batch in batches:
-            for records in batch:
-                for r in records:
-                    row = [trial_id, r.step]
-                    row += [repr(float(v)) for v in r.true_state]
-                    row += [repr(float(v)) for v in r.measurement]
-                    row += [repr(float(v)) for v in r.skf_center]
-                    row += [repr(float(v)) for v in r.ekf_state]
-                    row += [
-                        repr(float(r.beta_star)),
-                        repr(float(r.skf_dist)),
-                        repr(float(r.ekf_dist)),
-                    ]
-                    writer.writerow(row)
-                trial_id += 1
+        writer.writerow(_csv_header(cfg, trials[0].measurement.shape[1]))
+        for trial_id, t in enumerate(trials):
+            columns = (t.true_state, t.measurement, t.skf_center, t.ekf_state)
+            table = np.column_stack(columns + (t.beta_star, t.skf_dist, t.ekf_dist)).tolist()
+            writer.writerows([trial_id, k, *row] for k, row in enumerate(table, start=1))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -175,7 +163,7 @@ def _cmd_run(args) -> int:
     trials_path = os.path.join(out_dir, "trials.csv")
     summary_path = os.path.join(out_dir, "summary.json")
     manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_trials_csv(trials_path, cfg, batches)
+    _write_trials_csv(trials_path, cfg, [t for batch in batches for t in batch])
     _write_json(summary_path, summary)
     _write_json(
         manifest_path,

@@ -7,13 +7,14 @@ trace-minimal ellipsoidal outer bound of a Minkowski sum of ellipsoids.
 The sum bounds work on shape matrices alone: the center of a sum is the
 sum of the centers, so callers that track centers add them directly.
 
-``_scale_tol`` is the one symmetry/PSD tolerance of the package.
-``_as_shape_matrix`` and ``_psd_eigmin`` apply it; the filter's
-conditioning step reuses both.
+``_scale_tol`` is the one symmetry/PSD tolerance of the package, and
+rejects NaN and infinite entries. ``_as_shape_matrix`` and
+``_psd_eigmin`` apply it; the filter's conditioning step reuses both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,8 +39,12 @@ def _scale_tol(m: np.ndarray) -> float:
 
     Float products of symmetric factors carry asymmetry and negative
     spectrum ~ eps * |entries|; deviations beyond this bound are bugs.
+    NaN or inf entries propagate to the peak and raise ``ValueError``.
     """
-    return TOL_SYM * max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
+    peak = float(np.max(np.abs(m))) if m.size else 0.0
+    if not math.isfinite(peak):
+        raise ValueError("matrix has non-finite entries")
+    return TOL_SYM * max(1.0, peak)
 
 
 def _as_shape_matrix(shape, dim: int | None = None) -> np.ndarray:
@@ -50,9 +55,10 @@ def _as_shape_matrix(shape, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"shape matrix must be square, got {s.shape}")
     if dim is not None and s.shape[0] != dim:
         raise ValueError(f"shape matrix is {s.shape[0]}x{s.shape[0]}, expected {dim}x{dim}")
+    tol = _scale_tol(s)
     asym = float(np.max(np.abs(s - s.T))) if s.size else 0.0
-    if asym > _scale_tol(s):
-        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {_scale_tol(s):.3e}")
+    if asym > tol:
+        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {tol:.3e}")
     return symmetrize(s)
 
 
@@ -80,8 +86,8 @@ class Ellipsoid:
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if center.ndim != 1:
-            raise ValueError("center must be a vector")
+        if center.ndim != 1 or not np.all(np.isfinite(center)):
+            raise ValueError("center must be a vector of finite entries")
         shape = _as_shape_matrix(self.shape, dim=center.size)
         eigmin = _psd_eigmin(shape)
         object.__setattr__(self, "center", center)

@@ -12,7 +12,8 @@ Two scenarios are built in:
   up perpendicular to that line.
 
 Each trial runs the set-membership filter and the EKF baseline on
-identical noise realizations and records both tracks per step.
+identical noise realizations; ``run_trial`` returns both tracks, the truth
+and the measurements as one ``Trial`` of per-step arrays.
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ class ExperimentConfig:
                     value = tuple((float(x), float(y)) for x, y in value)
             except (TypeError, ValueError) as err:
                 raise ValueError(f"{name}: {err}") from None
+            parts = value if name == "ubb_process_shapes" else (value,)
+            if value is not None and not all(np.all(np.isfinite(p)) for p in parts):
+                raise ValueError(f"{name} has non-finite entries")
             object.__setattr__(self, name, value)
         if self.which == "example2" and self.stations is None:
             raise ValueError("which 'example2' requires stations")
@@ -108,10 +112,15 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """One filter step of one trial: truth, measurement, both tracks."""
+class Trial:
+    """One trial as per-step arrays: truth, measurement, both tracks.
 
-    step: int
+    Row i of every field is step i + 1. ``true_state``, ``skf_center`` and
+    ``ekf_state`` are ``(steps, n)``; ``measurement`` is ``(steps, m)``;
+    ``skf_cov``, ``skf_shape`` and ``ekf_cov`` are ``(steps, n, n)``;
+    ``beta_star``, ``skf_dist`` and ``ekf_dist`` are ``(steps,)``.
+    """
+
     true_state: np.ndarray
     measurement: np.ndarray
     skf_center: np.ndarray
@@ -119,9 +128,9 @@ class TrialRecord:
     skf_shape: np.ndarray
     ekf_state: np.ndarray
     ekf_cov: np.ndarray
-    beta_star: float
-    skf_dist: float
-    ekf_dist: float
+    beta_star: np.ndarray
+    skf_dist: np.ndarray
+    ekf_dist: np.ndarray
 
 
 def example1_config(
@@ -404,7 +413,7 @@ def simulate_truth(cfg: ExperimentConfig, rng: np.random.Generator):
     return states, measurements
 
 
-def run_trial(cfg: ExperimentConfig, trial: int = 0) -> list[TrialRecord]:
+def run_trial(cfg: ExperimentConfig, trial: int = 0) -> Trial:
     """Run both filters over one seeded realization.
 
     Randomness comes from the substream (cfg.seed, trial), so trials are
@@ -420,7 +429,7 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0) -> list[TrialRecord]:
     ekf_p = np.array(cfg.cov0, dtype=float)
     dims = list(cfg.position_dims)
 
-    records = []
+    rows = []
     for k in range(1, cfg.steps + 1):
         u = input_vector(cfg, k)
         y = measurements[k - 1]
@@ -431,25 +440,14 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0) -> list[TrialRecord]:
         except Exception as err:
             raise ExperimentError(f"trial {trial} failed at step {k}: {err}") from err
         truth = states[k]
-        records.append(
-            TrialRecord(
-                step=k,
-                true_state=truth,
-                measurement=y,
-                skf_center=belief.center,
-                skf_cov=belief.cov,
-                skf_shape=belief.shape,
-                ekf_state=ekf_x,
-                ekf_cov=ekf_p,
-                beta_star=report.beta_star,
-                skf_dist=float(np.linalg.norm(belief.center[dims] - truth[dims])),
-                ekf_dist=float(np.linalg.norm(ekf_x[dims] - truth[dims])),
-            )
-        )
-    return records
+        tracks = (belief.center, belief.cov, belief.shape, ekf_x, ekf_p, report.beta_star)
+        dists = (float(np.linalg.norm(x[dims] - truth[dims])) for x in (belief.center, ekf_x))
+        rows.append((*tracks, *dists))
+    # each step's values are stacked once, in the field order of Trial
+    return Trial(states[1:], measurements, *map(np.array, zip(*rows)))
 
 
-def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[list[TrialRecord]]:
+def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[Trial]:
     """Run every trial of a configuration, optionally across processes."""
     indices = range(cfg.trials)
     if workers > 1:
@@ -460,9 +458,9 @@ def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[list[TrialRecord
     return [run_trial(cfg, t) for t in indices]
 
 
-def largest_semi_axis(shape: np.ndarray) -> float:
-    """Largest semi-axis of an ellipsoid, sqrt of the top eigenvalue."""
-    return float(np.sqrt(max(np.linalg.eigvalsh(shape)[-1], 0.0)))
+def largest_semi_axes(shapes: np.ndarray) -> np.ndarray:
+    """Largest semi-axis of each stacked ellipsoid, sqrt of its top eigenvalue."""
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(shapes)[..., -1], 0.0))
 
 
 def _station_line_frame(stations):
@@ -474,37 +472,35 @@ def _station_line_frame(stations):
     return s1, along, normal
 
 
-def detect_crossing(records: list[TrialRecord], stations) -> int | None:
+def detect_crossing(trial: Trial, stations) -> int | None:
     """First step whose true position crosses the station line."""
     s1, _, normal = _station_line_frame(stations)
-    offsets = [float((r.true_state[:2] - s1) @ normal) for r in records]
+    offsets = [float((x[:2] - s1) @ normal) for x in trial.true_state]
     for i in range(1, len(offsets)):
         if offsets[i - 1] == 0.0 or (offsets[i - 1] < 0.0) != (offsets[i] < 0.0):
-            return records[i].step
+            return i + 1
     return None
 
 
 def _crossing_stats(
-    records: list[TrialRecord], stations, meas_ubb_shape: np.ndarray | None = None
+    trial: Trial, stations, meas_ubb_shape: np.ndarray | None = None
 ) -> dict | None:
-    cross = detect_crossing(records, stations)
+    cross = detect_crossing(trial, stations)
     if cross is None:
         return None
     _, _, normal = _station_line_frame(stations)
-    position_axes = [largest_semi_axis(r.skf_shape[:2, :2]) for r in records]
+    position_axes = largest_semi_axes(trial.skf_shape[:, :2, :2])
     lo = max(0, cross - 1 - CROSSING_WINDOW)
-    hi = min(len(records), cross - 1 + CROSSING_WINDOW + 1)
-    window = position_axes[lo:hi]
-    peak_idx = lo + int(np.argmax(window))
-    peak = position_axes[peak_idx]
+    hi = min(len(position_axes), cross + CROSSING_WINDOW)
+    peak_idx = lo + int(np.argmax(position_axes[lo:hi]))
+    peak = float(position_axes[peak_idx])
     median = float(np.median(position_axes))
-    vals, vecs = np.linalg.eigh(records[peak_idx].skf_shape[:2, :2])
-    principal = vecs[:, -1]
+    principal = np.linalg.eigh(trial.skf_shape[peak_idx, :2, :2])[1][:, -1]
     cosang = abs(float(principal @ normal))
     angle = math.degrees(math.acos(min(cosang, 1.0)))
     stats = {
         "crossing_step": cross,
-        "window": [records[lo].step, records[hi - 1].step],
+        "window": [lo + 1, hi],
         "max_semi_axis_in_window": peak,
         "median_semi_axis": median,
         "ratio": peak / median if median > 0 else float("inf"),
@@ -513,7 +509,7 @@ def _crossing_stats(
     if meas_ubb_shape is not None and meas_ubb_shape.shape[0] >= 3:
         # bearing bound (rad) maps into position cross-line at the station
         # range; compare against the along-line range bound
-        pos = records[cross - 1].true_state[:2]
+        pos = trial.true_state[cross - 1, :2]
         rng_to_stations = min(
             float(np.linalg.norm(pos - np.asarray(s, dtype=float))) for s in stations
         )
@@ -529,7 +525,7 @@ def _crossing_stats(
     return stats
 
 
-def aggregate(trials: list[list[TrialRecord]], cfg: ExperimentConfig | None = None) -> dict:
+def aggregate(trials: list[Trial], cfg: ExperimentConfig | None = None) -> dict:
     """Summarize a batch of trials into a JSON-ready dictionary.
 
     Reports per-trial distance norms, their means and medians, the
@@ -540,16 +536,16 @@ def aggregate(trials: list[list[TrialRecord]], cfg: ExperimentConfig | None = No
     """
     if not trials:
         raise ValueError("aggregate needs at least one trial")
-    skf_d = np.array([[r.skf_dist for r in t] for t in trials])
-    ekf_d = np.array([[r.ekf_dist for r in t] for t in trials])
+    skf_d = np.stack([t.skf_dist for t in trials])
+    ekf_d = np.stack([t.ekf_dist for t in trials])
     skf_l2 = np.linalg.norm(skf_d, axis=1)
     ekf_l2 = np.linalg.norm(ekf_d, axis=1)
-    betas = np.array([r.beta_star for t in trials for r in t])
-    axes = np.array([[largest_semi_axis(r.skf_shape) for r in t] for t in trials])
+    betas = np.concatenate([t.beta_star for t in trials])
+    axes = np.stack([largest_semi_axes(t.skf_shape) for t in trials])
 
     summary = {
         "trials": len(trials),
-        "steps": len(trials[0]),
+        "steps": skf_d.shape[1],
         "skf_l2": skf_l2.tolist(),
         "ekf_l2": ekf_l2.tolist(),
         "skf_l2_mean": float(skf_l2.mean()),
@@ -576,10 +572,8 @@ def aggregate(trials: list[list[TrialRecord]], cfg: ExperimentConfig | None = No
     }
 
     if cfg is not None and cfg.eta == 0.0:
-        gap = max(
-            float(np.max(np.abs(r.skf_center - r.ekf_state))) for t in trials for r in t
-        )
-        summary["eta_zero_max_gap"] = gap
+        gaps = [np.max(np.abs(t.skf_center - t.ekf_state)) for t in trials]
+        summary["eta_zero_max_gap"] = float(max(gaps))
 
     if cfg is not None and cfg.which == "example2" and cfg.stations is not None:
         per_trial = [
@@ -628,9 +622,9 @@ def scaled_config(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
     )
 
 
-def sweep_row(scale: float, records: list[TrialRecord]) -> dict:
+def sweep_row(scale: float, trial: Trial) -> dict:
     """Max and median posterior semi-axis of one trial run at ``scale``."""
-    axes = [largest_semi_axis(r.skf_shape) for r in records]
+    axes = largest_semi_axes(trial.skf_shape)
     return {
         "scale": float(scale),
         "max_semi_axis": float(np.max(axes)),

@@ -104,6 +104,8 @@ class StateBelief:
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        if not np.all(np.isfinite(center)):
+            raise ValueError("center has non-finite entries")
         if self.kind not in ("prior", "posterior"):
             raise ValueError(f"kind must be 'prior' or 'posterior', got {self.kind!r}")
         cov, cov_eigmin = _checked("cov", np.atleast_2d(self.cov), center.size)
@@ -246,6 +248,10 @@ class _UpdateContext:
         except np.linalg.LinAlgError:
             gain = None
         if gain is None or not np.all(np.isfinite(gain)):
+            if not np.all(np.isfinite(bracket)):
+                raise SingularInnovationError(
+                    "innovation-covariance bracket is not finite", self.belief.step
+                )
             raise SingularInnovationError(
                 "innovation-covariance bracket is singular or numerically deficient "
                 f"(condition number {np.linalg.cond(bracket):.3e})",
@@ -409,10 +415,14 @@ def ekf_step(
 
     Bounded disturbances are ignored entirely; the covariance update uses
     the Joseph form. Kept free of the set-membership code path so the two
-    recursions can be cross-checked against each other.
+    recursions can be cross-checked against each other. A wrong-size ``y``
+    raises ``ValueError``, a non-finite result ``FilterError`` with the step.
     """
     state = np.atleast_1d(np.asarray(state, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.size != m.meas_dim:
+        raise ValueError(f"measurement has dimension {y.size}, expected {m.meas_dim}")
 
     lin_p = linearize_process(m, state, u, k)
     x_pred = lin_p.f_value
@@ -429,10 +439,9 @@ def ekf_step(
             f"EKF innovation covariance is singular: {err}", k
         ) from err
 
-    residual = wrap_angles(
-        np.atleast_1d(np.asarray(y, dtype=float)) - lin_m.h_value, m.angular_mask
-    )
-    x_post = x_pred + gain @ residual
+    x_post = x_pred + gain @ wrap_angles(y - lin_m.h_value, m.angular_mask)
     ikh = np.eye(m.state_dim) - gain @ h_x
     p_post = ikh @ p_pred @ ikh.T + gain @ h_v @ c_z @ h_v.T @ gain.T
+    if not (np.isfinite(x_post).all() and np.isfinite(p_post).all()):
+        raise FilterError("EKF updated state or covariance is not finite", k)
     return x_post, symmetrize(p_post)

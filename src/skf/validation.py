@@ -158,13 +158,10 @@ def check_pair_closed_form(cases: int = 50, seed: int = 1) -> CheckResult:
 def check_eta_zero_reduction(steps: int = 50, seed: int = 3) -> CheckResult:
     """With eta = 0 the filter must track the EKF to within 1e-9."""
     cfg = example1_config(trials=1, steps=steps, seed=seed, eta=0.0)
-    records = run_trial(cfg, trial=0)
+    trial = run_trial(cfg, trial=0)
     gap = max(
-        max(
-            float(np.max(np.abs(r.skf_center - r.ekf_state))),
-            float(np.max(np.abs(r.skf_cov - r.ekf_cov))),
-        )
-        for r in records
+        float(np.max(np.abs(trial.skf_center - trial.ekf_state))),
+        float(np.max(np.abs(trial.skf_cov - trial.ekf_cov))),
     )
     return CheckResult(
         "eta-zero-ekf-reduction", gap < 1e-9, f"max center/cov gap {gap:.3e}"

@@ -52,14 +52,11 @@ def example2_batch():
 def test_criterion_1_ekf_reduction():
     cfg = example1_config(trials=1, eta=0.0)
     start = time.perf_counter()
-    records = run_trials(cfg)[0]
+    trial = run_trials(cfg)[0]
     elapsed = time.perf_counter() - start
     gap = max(
-        max(
-            float(np.max(np.abs(r.skf_center - r.ekf_state))),
-            float(np.max(np.abs(r.skf_cov - r.ekf_cov))),
-        )
-        for r in records
+        float(np.max(np.abs(trial.skf_center - trial.ekf_state))),
+        float(np.max(np.abs(trial.skf_cov - trial.ekf_cov))),
     )
     ok = gap < 1e-9 and elapsed < 1.0
     announce("1 ekf-reduction", ok, f"max gap {gap:.3e}, {elapsed:.2f}s")
@@ -227,8 +224,8 @@ def test_criterion_5_gain_stationarity():
 
 def test_criterion_6_example1_directional(example1_batch):
     cfg, batches, elapsed = example1_batch
-    skf_l2 = np.array([np.linalg.norm([r.skf_dist for r in t]) for t in batches])
-    ekf_l2 = np.array([np.linalg.norm([r.ekf_dist for r in t]) for t in batches])
+    skf_l2 = np.array([np.linalg.norm(t.skf_dist) for t in batches])
+    ekf_l2 = np.array([np.linalg.norm(t.ekf_dist) for t in batches])
     blocks_won = sum(
         skf_l2[b * 20 : (b + 1) * 20].mean() < ekf_l2[b * 20 : (b + 1) * 20].mean()
         for b in range(5)
@@ -283,18 +280,21 @@ def test_criterion_9_numerical_hygiene(example1_batch, example2_batch, tmp_path)
     worst_cov_eig = np.inf
     worst_shape_eig = np.inf
     for _, batches, _ in (example1_batch, example2_batch):
-        for records in batches:
-            for r in records[:: max(1, len(records) // 25)]:
-                for mat in (r.skf_cov, r.skf_shape, r.ekf_cov):
-                    worst_asym = max(worst_asym, float(np.max(np.abs(mat - mat.T))))
-                worst_cov_eig = min(
-                    worst_cov_eig,
-                    float(np.linalg.eigvalsh(r.skf_cov)[0]),
-                    float(np.linalg.eigvalsh(r.ekf_cov)[0]),
-                )
-                worst_shape_eig = min(
-                    worst_shape_eig, float(np.linalg.eigvalsh(r.skf_shape)[0])
-                )
+        for trial in batches:
+            rows = slice(None, None, max(1, len(trial.skf_dist) // 25))
+            covs, shapes = trial.skf_cov[rows], trial.skf_shape[rows]
+            ekf_covs = trial.ekf_cov[rows]
+            for mats in (covs, shapes, ekf_covs):
+                asym = np.abs(mats - np.swapaxes(mats, 1, 2))
+                worst_asym = max(worst_asym, float(np.max(asym)))
+            worst_cov_eig = min(
+                worst_cov_eig,
+                float(np.min(np.linalg.eigvalsh(covs)[:, 0])),
+                float(np.min(np.linalg.eigvalsh(ekf_covs)[:, 0])),
+            )
+            worst_shape_eig = min(
+                worst_shape_eig, float(np.min(np.linalg.eigvalsh(shapes)[:, 0]))
+            )
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
     args = ["example1", "--trials", "2", "--steps", "25", "--seed", "31"]

@@ -3,13 +3,20 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 import skf.ellipsoid
 import skf.experiments
 import skf.validation
 from skf.cli import main
-from skf.experiments import example2_config, sensitivity_sweep
+from skf.experiments import (
+    example1_config,
+    example2_config,
+    run_trial,
+    scaled_config,
+    sensitivity_sweep,
+)
 from skf.validation import (
     check_eta_zero_reduction,
     check_gain_stationarity,
@@ -22,6 +29,28 @@ from skf.validation import (
 def read_rows(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def assert_csv_is_trials(path, trials):
+    """Every number of ``trials.csv`` parses back to its ``Trial`` array entry."""
+    header, *rows = read_rows(path)
+    table = np.array(rows, dtype=float)
+    column = dict(zip(header, table.T))
+    steps = trials[0].beta_star.size
+    assert table.shape[0] == len(trials) * steps
+    assert np.array_equal(column["trial"], np.repeat(np.arange(len(trials)), steps))
+    assert np.array_equal(column["k"], np.tile(np.arange(1, steps + 1), len(trials)))
+    for prefix, field in (
+        ("x_true", "true_state"),
+        ("y", "measurement"),
+        ("skf_center", "skf_center"),
+        ("ekf_state", "ekf_state"),
+    ):
+        stacked = np.concatenate([getattr(t, field) for t in trials])
+        for i in range(stacked.shape[1]):
+            assert np.array_equal(column[f"{prefix}_{i}"], stacked[:, i])
+    for name in ("beta_star", "skf_dist", "ekf_dist"):
+        assert np.array_equal(column[name], np.concatenate([getattr(t, name) for t in trials]))
 
 
 class TestRunCommand:
@@ -52,6 +81,12 @@ class TestRunCommand:
         assert len(rows) == 1 + 2 * 3
         assert rows[1][0] == "0" and rows[1][1] == "1"
         assert rows[-1][0] == "1" and rows[-1][1] == "3"
+
+    def test_csv_is_the_trial_arrays(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["example1", "--trials", "2", "--steps", "6", "--out", str(out)]) == 0
+        cfg = example1_config(trials=2, steps=6)
+        assert_csv_is_trials(out / "trials.csv", [run_trial(cfg, t) for t in range(2)])
 
     def test_eta_zero_summary_gap(self, tmp_path):
         out = tmp_path / "run"
@@ -94,6 +129,11 @@ class TestRunCommand:
             ("stations", [[1, 2, 3], [0, 0]]),
             ("x0", ["a"]),
             ("which", "example2"),
+            ("cov0", [[float("nan")]]),
+            ("ubb_meas_shape", [[float("nan")]]),
+            ("ubb_process_shapes", [[[float("inf")]]]),
+            ("x0", [float("-inf")]),
+            ("stations", [[float("nan"), 0.0], [1.0, 1.0]]),
         ],
     )
     def test_bad_config_value_exits_1_before_output(self, tmp_path, capsys, key, value):
@@ -171,6 +211,16 @@ class TestSweepCommand:
         assert table[0]["max_semi_axis"] <= table[1]["max_semi_axis"]
         assert (out / "trials.csv").exists()
         assert (out / "manifest.json").exists()
+
+    def test_sweep_csv_numbers_trials_across_scales(self, tmp_path):
+        out = tmp_path / "sweep"
+        args = ["sweep", "--trials", "2", "--steps", "20", "--scales", "10,0"]
+        assert main(args + ["--out", str(out)]) == 0
+        base = example2_config(trials=2, steps=20)
+        expected = [
+            run_trial(scaled_config(base, scale), t) for scale in (10.0, 0.0) for t in range(2)
+        ]
+        assert_csv_is_trials(out / "trials.csv", expected)
 
     def test_sweep_runs_each_trial_once(self, tmp_path, monkeypatch):
         # the table reuses trial 0 of each scale's batch instead of rerunning it

@@ -38,6 +38,13 @@ class TestEllipsoidType:
         with pytest.raises(ValueError, match="PSD"):
             Ellipsoid([0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Ellipsoid([0.0], [[bad]])
+        with pytest.raises(ValueError, match="finite"):
+            Ellipsoid([bad], [[1.0]])
+
     def test_degenerate_flag(self):
         assert Ellipsoid([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]]).degenerate
         assert not Ellipsoid([0.0, 0.0], np.eye(2)).degenerate
@@ -190,6 +197,11 @@ class TestTraceMinSum:
             trace_min_sum([np.eye(2), [[1.0, 1e-3], [0.0, 1.0]]])
         with pytest.raises(ValueError, match="PSD"):
             trace_min_sum([np.eye(2), np.diag([1.0, -1.0])])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                trace_min_sum([[[bad]], np.eye(1)])
+            with pytest.raises(ValueError, match="non-finite"):
+                trace_min_sum([np.eye(1), [[bad]]])
 
     def test_corollary_consistency_k2(self):
         # for two terms the result must equal the closed-form pair bound

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from skf.experiments import (
-    CROSSING_WINDOW,
-    ExperimentConfig,
-    TrialRecord,
+    Trial,
     aggregate,
     build_model,
     detect_crossing,
@@ -16,7 +14,6 @@ from skf.experiments import (
     example2_config,
     ex2_nominal_kicks,
     input_vector,
-    largest_semi_axis,
     run_trial,
     run_trials,
     scaled_config,
@@ -37,6 +34,25 @@ def noiseless(cfg):
         meas_cov=np.zeros_like(cfg.meas_cov),
         ubb_meas_shape=np.zeros_like(cfg.ubb_meas_shape),
     )
+
+
+def make_trial(steps=1, n=1, **fields):
+    """A Trial of zero tracks and unit matrices; ``fields`` replace columns."""
+    eyes = np.tile(np.eye(n), (steps, 1, 1))
+    columns = dict(
+        true_state=np.zeros((steps, n)),
+        measurement=np.zeros((steps, n)),
+        skf_center=np.zeros((steps, n)),
+        skf_cov=eyes,
+        skf_shape=eyes,
+        ekf_state=np.zeros((steps, n)),
+        ekf_cov=eyes,
+        beta_star=np.ones(steps),
+        skf_dist=np.zeros(steps),
+        ekf_dist=np.zeros(steps),
+    )
+    columns.update({name: np.asarray(v, dtype=float) for name, v in fields.items()})
+    return Trial(**columns)
 
 
 class TestConfigs:
@@ -154,35 +170,36 @@ class TestUniformInEllipsoid:
 class TestRunTrial:
     def test_eta_zero_tracks_ekf(self):
         cfg = example1_config(trials=1, eta=0.0, steps=30)
-        for r in run_trial(cfg, 0):
-            assert abs(r.skf_dist - r.ekf_dist) < 1e-9
+        trial = run_trial(cfg, 0)
+        assert np.all(np.abs(trial.skf_dist - trial.ekf_dist) < 1e-9)
 
     def test_records_are_complete(self):
         cfg = example1_config(steps=5)
-        records = run_trial(cfg, 0)
-        assert len(records) == 5
-        assert [r.step for r in records] == [1, 2, 3, 4, 5]
-        r = records[-1]
-        assert r.skf_cov.shape == (1, 1)
-        assert r.beta_star > 0
-        assert r.skf_dist >= 0 and r.ekf_dist >= 0
+        trial = run_trial(cfg, 0)
+        states, meas = simulate_truth(cfg, np.random.default_rng([cfg.seed, 0]))
+        assert np.array_equal(trial.true_state, states[1:])
+        assert np.array_equal(trial.measurement, meas)
+        for name in ("skf_center", "ekf_state"):
+            assert getattr(trial, name).shape == (5, 1)
+        for name in ("skf_cov", "skf_shape", "ekf_cov"):
+            assert getattr(trial, name).shape == (5, 1, 1)
+        assert np.all(trial.beta_star > 0)
+        assert np.all(trial.skf_dist >= 0) and np.all(trial.ekf_dist >= 0)
+        assert trial.skf_dist[-1] == np.linalg.norm(trial.skf_center[-1] - states[-1])
 
     def test_shapes_stay_psd_over_run(self):
         cfg = example1_config(steps=50)
-        for r in run_trial(cfg, 0):
-            assert np.linalg.eigvalsh(r.skf_shape)[0] >= 0.0
-            assert np.linalg.eigvalsh(r.skf_cov)[0] > 0.0
-        l2 = np.linalg.norm([r.skf_dist for r in run_trial(cfg, 0)])
-        assert np.isfinite(l2)
+        trial = run_trial(cfg, 0)
+        assert np.linalg.eigvalsh(trial.skf_shape)[:, 0].min() >= 0.0
+        assert np.linalg.eigvalsh(trial.skf_cov)[:, 0].min() > 0.0
+        assert np.isfinite(np.linalg.norm(trial.skf_dist))
 
     def test_deterministic_records(self):
         cfg = example1_config(steps=10)
         a = run_trial(cfg, 3)
         b = run_trial(cfg, 3)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.skf_center, rb.skf_center)
-            assert np.array_equal(ra.skf_shape, rb.skf_shape)
-            assert ra.beta_star == rb.beta_star
+        for field in dataclasses.fields(Trial):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
     def test_zero_noise_linear_filter_contracts(self):
         # offset initial belief on a noiseless linear system: both tracks
@@ -219,44 +236,16 @@ class TestRunTrial:
 
 class TestAggregate:
     def test_l2_of_three_four(self):
-        rec = [
-            TrialRecord(
-                step=k,
-                true_state=np.zeros(1),
-                measurement=np.zeros(1),
-                skf_center=np.zeros(1),
-                skf_cov=np.eye(1),
-                skf_shape=np.eye(1),
-                ekf_state=np.zeros(1),
-                ekf_cov=np.eye(1),
-                beta_star=1.0,
-                skf_dist=d,
-                ekf_dist=d,
-            )
-            for k, d in ((1, 3.0), (2, 4.0))
-        ]
-        summary = aggregate([rec])
+        summary = aggregate([make_trial(2, skf_dist=[3.0, 4.0], ekf_dist=[3.0, 4.0])])
         assert summary["skf_l2"][0] == pytest.approx(5.0)
 
     def test_win_rate(self):
-        def trial(skf, ekf):
-            return [
-                TrialRecord(
-                    step=1,
-                    true_state=np.zeros(1),
-                    measurement=np.zeros(1),
-                    skf_center=np.zeros(1),
-                    skf_cov=np.eye(1),
-                    skf_shape=np.eye(1),
-                    ekf_state=np.zeros(1),
-                    ekf_cov=np.eye(1),
-                    beta_star=1.0,
-                    skf_dist=skf,
-                    ekf_dist=ekf,
-                )
+        summary = aggregate(
+            [
+                make_trial(skf_dist=[1.0], ekf_dist=[2.0]),
+                make_trial(skf_dist=[3.0], ekf_dist=[2.0]),
             ]
-
-        summary = aggregate([trial(1.0, 2.0), trial(3.0, 2.0)])
+        )
         assert summary["win_rate"] == pytest.approx(0.5)
 
     def test_eta_zero_gap_reported(self):
@@ -291,43 +280,13 @@ class TestAggregate:
 class TestCrossingDetection:
     def test_detects_sign_change(self):
         cfg = example2_config()
-        records = []
-        for k, y in enumerate([90.0, 95.0, 99.0, 101.0, 110.0], start=1):
-            records.append(
-                TrialRecord(
-                    step=k,
-                    true_state=np.array([50.0, y, 0.0, 7.0]),
-                    measurement=np.zeros(4),
-                    skf_center=np.zeros(4),
-                    skf_cov=np.eye(4),
-                    skf_shape=np.eye(4),
-                    ekf_state=np.zeros(4),
-                    ekf_cov=np.eye(4),
-                    beta_star=1.0,
-                    skf_dist=0.0,
-                    ekf_dist=0.0,
-                )
-            )
-        assert detect_crossing(records, cfg.stations) == 4
+        ys = [90.0, 95.0, 99.0, 101.0, 110.0]
+        trial = make_trial(5, 4, true_state=[[50.0, y, 0.0, 7.0] for y in ys])
+        assert detect_crossing(trial, cfg.stations) == 4
 
     def test_no_crossing(self):
         cfg = example2_config()
-        records = [
-            TrialRecord(
-                step=1,
-                true_state=np.array([0.0, 0.0, 0.0, 0.0]),
-                measurement=np.zeros(4),
-                skf_center=np.zeros(4),
-                skf_cov=np.eye(4),
-                skf_shape=np.eye(4),
-                ekf_state=np.zeros(4),
-                ekf_cov=np.eye(4),
-                beta_star=1.0,
-                skf_dist=0.0,
-                ekf_dist=0.0,
-            )
-        ] * 3
-        assert detect_crossing(records, cfg.stations) is None
+        assert detect_crossing(make_trial(3, 4), cfg.stations) is None
 
 
 class TestSensitivity:
@@ -362,7 +321,7 @@ class TestParallelism:
         cfg = example1_config(trials=3, steps=8)
         serial = run_trials(cfg, workers=1)
         parallel = run_trials(cfg, workers=2)
+        assert len(serial) == len(parallel) == 3
         for a, b in zip(serial, parallel):
-            for ra, rb in zip(a, b):
-                assert np.array_equal(ra.skf_center, rb.skf_center)
-                assert ra.beta_star == rb.beta_star
+            assert np.array_equal(a.skf_center, b.skf_center)
+            assert np.array_equal(a.beta_star, b.beta_star)

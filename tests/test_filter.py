@@ -5,13 +5,22 @@ values; the spec of the gain/update arithmetic is exercised on scalar
 cases small enough to verify by hand.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from skf.ellipsoid import pair_sum_shape
-from skf.experiments import example1_config, build_model, input_vector, simulate_truth
+from skf.experiments import (
+    build_model,
+    example1_config,
+    example2_config,
+    input_vector,
+    simulate_truth,
+)
 from skf.filter import (
     FilterConfig,
+    FilterError,
     GainReport,
     SingularInnovationError,
     StateBelief,
@@ -79,6 +88,13 @@ class TestStateBelief:
             StateBelief([0.0, 0.0], np.eye(3), np.eye(2), "prior", 0)
         with pytest.raises(ValueError, match="shape"):
             StateBelief([0.0, 0.0], np.eye(2), np.diag([1.0, -1.0]), "prior", 0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="cov: matrix has non-finite"):
+                StateBelief([0.0], [[bad]], [[1.0]], "prior", 0)
+            with pytest.raises(ValueError, match="shape: matrix has non-finite"):
+                StateBelief([0.0], [[1.0]], [[bad]], "prior", 0)
+            with pytest.raises(ValueError, match="center has non-finite"):
+                StateBelief([bad], [[1.0]], [[1.0]], "prior", 0)
         # a scalar state takes a 1-D cov, and a caller's tiny cov is kept as given
         assert StateBelief([0.0], [2.0], [[1.0]], "prior", 0).cov.tolist() == [[2.0]]
         assert StateBelief([0.0], [[1e-16]], [[1.0]], "prior", 0).cov[0, 0] == 1e-16
@@ -463,6 +479,33 @@ class TestModelEvaluations:
         assert calls == dict.fromkeys(("f", "h") + providers, steps)
 
 
+NAN = np.array([[np.nan]])
+# a scalar model with a NaN h_x, measurement-noise or process-noise provider
+NAN_MODEL_FIELDS = [
+    pytest.param({"jacobians": AnalyticJacobians(h_x=lambda x, k: NAN)}, id="h_x"),
+    pytest.param({"meas_noise_cov": lambda k: NAN}, id="meas_noise_cov"),
+    pytest.param({"process_noise_cov": lambda k: NAN}, id="process_noise_cov"),
+]
+
+
+class TestNonFiniteModel:
+    @pytest.mark.parametrize("fields", NAN_MODEL_FIELDS)
+    def test_skf_raises_filter_error_with_step(self, fields):
+        m = dataclasses.replace(scalar_model(), **fields)
+        belief = StateBelief([0.0], [[1.0]], [[1.0]], "posterior", 0)
+        with pytest.raises(FilterError, match="step 3") as exc:
+            prior = skf_predict(belief, m, np.zeros(1), 3)
+            skf_update(prior, np.array([1.0]), m, FilterConfig(eta=0.5), 3)
+        assert exc.value.step == 3
+
+    @pytest.mark.parametrize("fields", NAN_MODEL_FIELDS)
+    def test_ekf_raises_filter_error_with_step(self, fields):
+        m = dataclasses.replace(scalar_model(), **fields)
+        with pytest.raises(FilterError, match="step 3: EKF") as exc:
+            ekf_step(np.zeros(1), np.eye(1), np.zeros(1), np.array([1.0]), m, 3)
+        assert exc.value.step == 3
+
+
 class TestEkf:
     def test_matches_textbook_kalman_recursion(self):
         rng = np.random.default_rng(24)
@@ -498,6 +541,13 @@ class TestEkf:
             p_ref = (np.eye(2) - gain @ h_mat) @ p_pred
             assert np.allclose(x, x_ref, atol=1e-12)
             assert np.allclose(p, p_ref, atol=1e-12)
+
+    def test_measurement_dimension_checked(self):
+        # a size-1 y would broadcast against example2's 4 measurement rows
+        m = build_model(example2_config())
+        x = np.array([1.0, 2.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="dimension 1, expected 4"):
+            ekf_step(x, np.eye(4), np.zeros(0), np.array([1.0]), m, 3)
 
     def test_scalar_step_matches_eta_zero_numbers(self):
         m = scalar_model()
@@ -575,6 +625,9 @@ class TestNumericalHygiene:
             flt._condition(
                 np.array([[1.0, 0.0], [0.0, -1e-8]]), 0.0, step=4, what="shape"
             )
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(flt.NumericsError, match="step 4: cov: matrix has non-finite"):
+                flt._condition(np.array([[bad]]), flt.COV_FLOOR, step=4, what="cov")
 
     def test_spd_preserved_over_benchmark_run(self):
         cfg = example1_config()
