@@ -7,14 +7,12 @@ trace-minimal ellipsoidal outer bound of a Minkowski sum of ellipsoids.
 The sum bounds work on shape matrices alone: the center of a sum is the
 sum of the centers, so callers that track centers add them directly.
 
-``_scale_tol`` is the one symmetry/PSD tolerance of the package, and
-rejects NaN and infinite entries. ``_as_shape_matrix`` and
-``_psd_eigmin`` apply it; the filter's conditioning step reuses both.
+``_check_psd`` applies the package's one matrix rule, to one matrix or to
+a stack with one ``eigvalsh`` call; ``_scale_tol`` is its rounding bound.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,44 +28,66 @@ class DegenerateEllipsoidError(ValueError):
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Average a matrix with its transpose to suppress floating-point drift."""
-    return 0.5 * (m + m.T)
+    """Average a matrix, or each matrix of a stack, with its transpose."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def _scale_tol(m: np.ndarray) -> float:
+def _scale_tol(m: np.ndarray) -> np.ndarray:
     """TOL_SYM at unit scale, proportionally looser for large matrices.
 
     Float products of symmetric factors carry asymmetry and negative
     spectrum ~ eps * |entries|; deviations beyond this bound are bugs.
-    NaN or inf entries propagate to the peak and raise ``ValueError``.
+    One tolerance per matrix of a stack; non-finite entries make it non-finite.
     """
-    peak = float(np.max(np.abs(m))) if m.size else 0.0
-    if not math.isfinite(peak):
-        raise ValueError("matrix has non-finite entries")
-    return TOL_SYM * max(1.0, peak)
+    return TOL_SYM * np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
 
 
-def _as_shape_matrix(shape, dim: int | None = None) -> np.ndarray:
-    s = np.asarray(shape, dtype=float)
-    if s.ndim == 0:
-        s = s.reshape(1, 1)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"shape matrix must be square, got {s.shape}")
-    if dim is not None and s.shape[0] != dim:
-        raise ValueError(f"shape matrix is {s.shape[0]}x{s.shape[0]}, expected {dim}x{dim}")
+def _failure(names, i, message: str) -> ValueError:
+    if names is not None:
+        message = f"{names.format(i) if isinstance(names, str) else names[i]}: {message}"
+    return ValueError(message)
+
+
+def _check_psd(mats, dim: int | None = None, names=None) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one matrix rule, on one matrix or a stack of one size.
+
+    Each matrix must be square (a scalar counts as 1x1), of size ``dim`` if
+    given, finite, and symmetric and PSD within ``_scale_tol``. Returns the
+    input symmetrized and the smallest eigenvalue of each matrix, from one
+    ``eigvalsh`` call. A ``ValueError`` names the failing matrix by ``names``:
+    one name per matrix, or one string formatted with its index.
+    """
+    try:
+        s = np.asarray(mats, dtype=float)
+    except ValueError:  # a sequence of matrices of different sizes
+        want = (dim, dim) if dim is not None else np.shape(mats[0])
+        i = next((i for i, m in enumerate(mats) if np.shape(m) != want), None)
+        if i is None:
+            raise
+        got, want = ("x".join(map(str, size)) for size in (np.shape(mats[i]), want))
+        raise _failure(names, i, f"shape matrix is {got}, expected {want}") from None
+    s = s.reshape(1, 1) if s.ndim == 0 else s
+    n = s.shape[-1]
+    if s.ndim not in (2, 3) or s.shape[-2] != n:
+        raise _failure(names, 0, f"shape matrix must be square, got {s.shape}")
+    if dim is not None and n != dim:
+        raise _failure(names, 0, f"shape matrix is {n}x{n}, expected {dim}x{dim}")
     tol = _scale_tol(s)
-    asym = float(np.max(np.abs(s - s.T))) if s.size else 0.0
-    if asym > tol:
-        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {tol:.3e}")
-    return symmetrize(s)
-
-
-def _psd_eigmin(s: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric shape; rejects negative spectrum."""
-    eigmin = float(np.linalg.eigvalsh(s)[0]) if s.size else 0.0
-    if eigmin < -_scale_tol(s):
-        raise ValueError(f"matrix is not PSD (min eigenvalue {eigmin:.3e})")
-    return eigmin
+    fit = np.isfinite(tol)  # checked first: inf - inf in the asymmetry would warn
+    if not fit.all():
+        raise _failure(names, np.argmin(fit), "matrix has non-finite entries")
+    asym = np.abs(s - np.swapaxes(s, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    fit = asym <= tol
+    if not fit.all():
+        i = np.argmin(fit)
+        raise _failure(names, i, f"matrix asymmetry {asym.flat[i]:.3e} exceeds {tol.flat[i]:.3e}")
+    s = symmetrize(s)
+    eigmin = np.linalg.eigvalsh(s)[..., 0] if n else np.zeros(s.shape[:-2])
+    fit = eigmin >= -tol
+    if not fit.all():
+        i = np.argmin(fit)
+        raise _failure(names, i, f"matrix is not PSD (min eigenvalue {eigmin.flat[i]:.3e})")
+    return s, eigmin
 
 
 @dataclass(frozen=True)
@@ -88,11 +108,9 @@ class Ellipsoid:
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
         if center.ndim != 1 or not np.all(np.isfinite(center)):
             raise ValueError("center must be a vector of finite entries")
-        shape = _as_shape_matrix(self.shape, dim=center.size)
-        eigmin = _psd_eigmin(shape)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_eigmin", eigmin)
+        # checked as a stack of one, so that a stack given as the shape fails
+        (shape,), (eigmin,) = _check_psd(np.atleast_2d(self.shape)[None], center.size)
+        self.__dict__.update(center=center, shape=shape, _eigmin=float(eigmin))
 
     @property
     def dim(self) -> int:
@@ -149,9 +167,8 @@ def pair_sum_shape(s1, s2, beta: float) -> np.ndarray:
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    s1 = _as_shape_matrix(s1)
-    s2 = _as_shape_matrix(s2, dim=s1.shape[0])
-    return symmetrize((1.0 + 1.0 / beta) * s1 + (1.0 + beta) * s2)
+    (s1, s2), _ = _check_psd(np.atleast_2d(s1, s2), names=("s1", "s2"))
+    return (1.0 + 1.0 / beta) * s1 + (1.0 + beta) * s2
 
 
 def trace_min_sum(shapes: Sequence) -> np.ndarray:
@@ -162,23 +179,19 @@ def trace_min_sum(shapes: Sequence) -> np.ndarray:
     with positive trace; zero-trace terms are points and add nothing. The
     center of the bound is the sum of the term centers, left to the
     caller. A single term is returned unchanged (symmetrized). Every term
-    must be square, of one dimension, and symmetric and PSD within
-    ``_scale_tol``; otherwise ``ValueError`` is raised.
+    must pass ``_check_psd``; a ``ValueError`` names a failing one by index.
     """
     if len(shapes) < 1:
         raise ValueError("a sum needs at least one term")
-    first = _as_shape_matrix(shapes[0])
-    terms = [first] + [_as_shape_matrix(s, dim=first.shape[0]) for s in shapes[1:]]
-    for t in terms:
-        _psd_eigmin(t)
-    if len(terms) == 1:
-        return first
+    terms, _ = _check_psd(shapes, names="term {}")
+    if terms.ndim == 2 or len(terms) == 1:  # one term, alone or in a stack of one
+        return terms.reshape(terms.shape[-2:])
     live = [t for t in terms if float(np.trace(t)) > EPS_TRACE]
     if not live:
-        return np.zeros_like(first)
+        return np.zeros_like(terms[0])
     roots = [np.sqrt(float(np.trace(m))) for m in live]
-    shape = sum(roots) * sum(m / r for m, r in zip(live, roots))
-    return symmetrize(shape)
+    # exactly symmetric: a weighted sum of the symmetrized terms
+    return sum(roots) * sum(m / r for m, r in zip(live, roots))
 
 
 def sample_boundary(e: Ellipsoid, count: int, seed: int) -> np.ndarray:

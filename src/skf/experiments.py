@@ -25,7 +25,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .ellipsoid import EPS_TRACE
+from .ellipsoid import EPS_TRACE, _check_psd
 from .filter import FilterConfig, StateBelief, ekf_step, skf_predict, skf_update
 from .model import AnalyticJacobians, NonlinearModel
 
@@ -98,10 +98,17 @@ class ExperimentConfig:
                     value = tuple((float(x), float(y)) for x, y in value)
             except (TypeError, ValueError) as err:
                 raise ValueError(f"{name}: {err}") from None
-            parts = value if name == "ubb_process_shapes" else (value,)
-            if value is not None and not all(np.all(np.isfinite(p)) for p in parts):
+            if name in ("x0", "stations") and value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} has non-finite entries")
             object.__setattr__(self, name, value)
+        initial = np.atleast_2d(self.cov0, self.shape0)
+        _, eigmin = _check_psd(initial, self.x0.size, ("cov0", "shape0"))
+        if eigmin[0] <= 0.0:
+            raise ValueError("cov0 must be strictly positive-definite")
+        named = [(n, getattr(self, n)) for n in ("process_cov", "meas_cov", "ubb_meas_shape")]
+        named += [(f"ubb_process_shapes[{i}]", s) for i, s in enumerate(self.ubb_process_shapes)]
+        for name, mat in named:  # as a stack of one, so that a stack given here fails
+            _check_psd(np.atleast_2d(mat)[None], names=name)
         if self.which == "example2" and self.stations is None:
             raise ValueError("which 'example2' requires stations")
 

@@ -24,11 +24,9 @@ The beta-independent products are formed once per update, in an
 ``_UpdateContext``; every gain of the step comes from it. At eta = 0 the
 center and covariance recursions coincide exactly with the extended
 Kalman filter. ``FilterConfig`` carries eta alone, a real number in
-[0, 1]. ``StateBelief`` checks caller input strictly; the filter
-conditions each covariance and shape it computes exactly once, through
-``_condition``, which checks symmetry and PSD against the package
-tolerance and floors the spectrum (at ``COV_FLOOR`` for covariances, at
-zero for shapes).
+[0, 1]. Each matrix check is one ``_check_psd`` call on a stack: of a
+caller's ``StateBelief``, of a predicted sum's terms, and of the cov and
+shape of each computed belief, which ``_condition`` floors exactly once.
 """
 
 from __future__ import annotations
@@ -39,14 +37,7 @@ from typing import Literal
 
 import numpy as np
 
-from .ellipsoid import (
-    EPS_TRACE,
-    Ellipsoid,
-    _as_shape_matrix,
-    _psd_eigmin,
-    symmetrize,
-    trace_min_sum,
-)
+from .ellipsoid import EPS_TRACE, Ellipsoid, _check_psd, symmetrize, trace_min_sum
 from .model import (
     Linearization,
     NonlinearModel,
@@ -59,6 +50,7 @@ from .optimizer import OptimizerError, ScalarProblem, minimize_scalar
 # Smallest eigenvalue a propagated covariance keeps; long runs with tiny
 # measurement noise can underflow positive definiteness in floating point.
 COV_FLOOR = 1e-14
+_BELIEF_FLOORS = np.array([COV_FLOOR, 0.0])  # of a computed (cov, shape) stack
 
 
 class FilterError(RuntimeError):
@@ -77,22 +69,13 @@ class NumericsError(FilterError):
     """A covariance or shape matrix violated symmetry/PD beyond tolerance."""
 
 
-def _checked(name: str, mat: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
-    """Symmetrized dim x dim matrix and its smallest eigenvalue; ValueError if not PSD."""
-    try:
-        mat = _as_shape_matrix(mat, dim)
-        return mat, _psd_eigmin(mat)
-    except ValueError as err:
-        raise ValueError(f"{name}: {err}") from None
-
-
 @dataclass(frozen=True)
 class StateBelief:
     """State estimate: center, Gaussian covariance, and mean-set shape.
 
     The constructor is the strict check of caller input: cov and shape
-    must be symmetric within ``_scale_tol``, cov positive definite and
-    shape PSD. Nothing is lifted; beliefs the filter computes are built
+    pass ``_check_psd`` together, and cov must be positive definite.
+    Nothing is lifted; beliefs the filter computes are built
     by ``_conditioned_belief`` instead.
     """
 
@@ -108,13 +91,11 @@ class StateBelief:
             raise ValueError("center has non-finite entries")
         if self.kind not in ("prior", "posterior"):
             raise ValueError(f"kind must be 'prior' or 'posterior', got {self.kind!r}")
-        cov, cov_eigmin = _checked("cov", np.atleast_2d(self.cov), center.size)
-        shape, _ = _checked("shape", np.atleast_2d(self.shape), center.size)
-        if cov_eigmin <= 0.0:
+        mats = np.atleast_2d(self.cov, self.shape)
+        (cov, shape), eigmin = _check_psd(mats, center.size, ("cov", "shape"))
+        if eigmin[0] <= 0.0:
             raise ValueError("cov must be strictly positive-definite")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "shape", shape)
+        self.__dict__.update(center=center, cov=cov, shape=shape)
 
     @property
     def dim(self) -> int:
@@ -159,41 +140,37 @@ class GainReport:
     evals: int
 
 
-def _condition(mat: np.ndarray, floor: float, step: int, what: str) -> np.ndarray:
-    """Symmetrize and lift the spectrum to ``floor``; loud failure beyond tolerance.
+def _condition(mats, floor, step: int, what) -> np.ndarray:
+    """Symmetrize and lift each spectrum to its floor; loud failure beyond tolerance.
 
-    Asymmetry or negative spectrum beyond ``_scale_tol`` raises
-    ``NumericsError``. Below that, a smallest eigenvalue under ``floor`` is
-    lifted by a diagonal shift to 1.001 * floor; shapes pass ``floor=0``,
-    which shifts exactly by -eigmin.
+    ``mats`` is one matrix or a stack, with one ``floor`` or one per matrix,
+    named by ``what`` as by ``_check_psd``'s ``names``; a violation raises
+    ``NumericsError``. A smallest eigenvalue under its floor is lifted by a
+    diagonal shift to 1.001 * floor (``floor=0`` shifts exactly by -eigmin).
     """
     try:
-        mat = _as_shape_matrix(mat)
-        eigmin = _psd_eigmin(mat)
+        mats, eigmin = _check_psd(mats, names=what)
     except ValueError as err:
-        raise NumericsError(f"{what}: {err}", step) from err
-    if eigmin < floor:
-        mat = mat + (1.001 * floor - eigmin) * np.eye(mat.shape[0])
-    return mat
+        raise NumericsError(str(err), step) from err
+    low = eigmin < floor
+    if low.any():
+        shift = (1.001 * floor - eigmin)[..., None, None] * np.eye(mats.shape[-1])
+        mats = np.where(low[..., None, None], mats + shift, mats)
+    return mats
 
 
 def _conditioned_belief(
     center: np.ndarray, cov: np.ndarray, shape: np.ndarray, kind: str, step: int
 ) -> StateBelief:
-    """A belief the filter computed: each matrix passes ``_condition`` once.
+    """A belief the filter computed: cov and shape pass one ``_condition`` call.
 
     The fields are set directly, so the constructor's strict check of
     caller input does not run again on the conditioned matrices.
     """
     what = "predicted" if kind == "prior" else "updated"
+    cov, shape = _condition((cov, shape), _BELIEF_FLOORS, step, (f"{what} cov", f"{what} shape"))
     belief = object.__new__(StateBelief)
-    belief.__dict__.update(
-        center=center,
-        cov=_condition(cov, COV_FLOOR, step, f"{what} cov"),
-        shape=_condition(shape, 0.0, step, f"{what} shape"),
-        kind=kind,
-        step=step,
-    )
+    belief.__dict__.update(center=center, cov=cov, shape=shape, kind=kind, step=step)
     return belief
 
 
@@ -213,10 +190,13 @@ def skf_predict(
     f_x, f_w = lin.f_x, lin.f_w
 
     cov = f_x @ belief.cov @ f_x.T + f_w @ lin.process_noise_cov @ f_w.T
-    terms = [symmetrize(f_x @ belief.shape @ f_x.T)]
-    for f_ai, s_i in zip(lin.f_a, lin.ubb_process_shapes):
-        terms.append(symmetrize(f_ai @ s_i @ f_ai.T))
-    return _conditioned_belief(lin.f_value, cov, trace_min_sum(terms), "prior", k)
+    terms = [f_x @ belief.shape @ f_x.T]
+    terms += [f_ai @ s_i @ f_ai.T for f_ai, s_i in zip(lin.f_a, lin.ubb_process_shapes)]
+    try:
+        shape = trace_min_sum(terms)
+    except ValueError as err:
+        raise NumericsError(f"predicted shape {err}", k) from err
+    return _conditioned_belief(lin.f_value, cov, shape, "prior", k)
 
 
 class _UpdateContext:

@@ -15,6 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .ellipsoid import _check_psd
+
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 MatrixProvider = Callable[[int], np.ndarray]
@@ -38,10 +40,10 @@ def _matrix(value) -> np.ndarray:
     return np.atleast_2d(np.asarray(value, dtype=float))
 
 
-def _as_provider(value) -> MatrixProvider:
+def _as_provider(value, name: str) -> MatrixProvider:
     if callable(value):
         return value
-    mat = _matrix(value)
+    (mat,), _ = _check_psd(_matrix(value)[None], names=name)  # one matrix, not a stack
     return lambda k, _m=mat: _m
 
 
@@ -67,7 +69,8 @@ class NonlinearModel:
 
     ``process_noise_cov``, ``meas_noise_cov``, ``ubb_process_shapes`` and
     ``ubb_meas_shape`` accept either a constant matrix or a callable
-    ``k -> matrix``; constants are wrapped into providers.
+    ``k -> matrix``; constants pass ``_check_psd`` here, naming the field,
+    and are wrapped into providers. The filter checks callables' values.
     """
 
     state_dim: int
@@ -83,14 +86,11 @@ class NonlinearModel:
     angular_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "process_noise_cov", _as_provider(self.process_noise_cov))
-        object.__setattr__(self, "meas_noise_cov", _as_provider(self.meas_noise_cov))
-        object.__setattr__(self, "ubb_meas_shape", _as_provider(self.ubb_meas_shape))
-        object.__setattr__(
-            self,
-            "ubb_process_shapes",
-            tuple(_as_provider(s) for s in self.ubb_process_shapes),
-        )
+        for name in ("process_noise_cov", "meas_noise_cov", "ubb_meas_shape"):
+            object.__setattr__(self, name, _as_provider(getattr(self, name), name))
+        shapes = enumerate(self.ubb_process_shapes)
+        shapes = tuple(_as_provider(s, f"ubb_process_shapes[{i}]") for i, s in shapes)
+        object.__setattr__(self, "ubb_process_shapes", shapes)
         if self.angular_mask is not None:
             mask = np.asarray(self.angular_mask, dtype=bool)
             if mask.shape != (self.meas_dim,):

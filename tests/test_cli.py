@@ -134,6 +134,15 @@ class TestRunCommand:
             ("ubb_process_shapes", [[[float("inf")]]]),
             ("x0", [float("-inf")]),
             ("stations", [[float("nan"), 0.0], [1.0, 1.0]]),
+            # covariances and shapes follow the matrix rule
+            ("ubb_meas_shape", [[-4.0]]),
+            ("cov0", [[-1.0]]),
+            ("meas_cov", [[-1.0]]),
+            ("ubb_process_shapes", [[[-9.0]]]),
+            ("process_cov", [[1.0, 0.5], [0.0, 1.0]]),
+            ("shape0", [[1.0, 0.0], [0.0, 1.0]]),
+            ("cov0", [[0.0]]),
+            ("ubb_meas_shape", [[[4.0]]]),
         ],
     )
     def test_bad_config_value_exits_1_before_output(self, tmp_path, capsys, key, value):

@@ -34,6 +34,13 @@ class TestEllipsoidType:
         with pytest.raises(ValueError, match="asymmetry"):
             Ellipsoid([0.0, 0.0], [[1.0, 1e-3], [0.0, 1.0]])
 
+    def test_stack_rejected(self):
+        # a stack of matrices is not one shape matrix
+        with pytest.raises(ValueError, match="square"):
+            Ellipsoid([0.0], np.ones((2, 1, 1)))
+        with pytest.raises(ValueError, match="square"):
+            Ellipsoid([0.0], np.ones((1, 1, 1)))
+
     def test_indefinite_shape_rejected(self):
         with pytest.raises(ValueError, match="PSD"):
             Ellipsoid([0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]])
@@ -140,6 +147,17 @@ class TestPairSumShape:
     def test_nonpositive_beta_rejected(self):
         with pytest.raises(ValueError, match="beta"):
             pair_sum_shape(np.eye(2), np.eye(2), 0.0)
+
+    def test_invalid_terms_rejected(self):
+        # the terms follow the same matrix rule as those of trace_min_sum
+        with pytest.raises(ValueError, match="s1: matrix is not PSD"):
+            pair_sum_shape([[-4.0]], np.eye(1), 1.0)
+        with pytest.raises(ValueError, match="s2: matrix asymmetry"):
+            pair_sum_shape(np.eye(2), [[1.0, 1e-3], [0.0, 1.0]], 1.0)
+        with pytest.raises(ValueError, match="s2: shape matrix is 2x2, expected 1x1"):
+            pair_sum_shape(np.eye(1), np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="s1: matrix has non-finite"):
+            pair_sum_shape([[np.nan]], np.eye(1), 1.0)
 
 
 def random_terms(rng, n, count):

@@ -22,6 +22,7 @@ from skf.filter import (
     FilterConfig,
     FilterError,
     GainReport,
+    NumericsError,
     SingularInnovationError,
     StateBelief,
     _pair_shape,
@@ -628,6 +629,16 @@ class TestNumericalHygiene:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(flt.NumericsError, match="step 4: cov: matrix has non-finite"):
                 flt._condition(np.array([[bad]]), flt.COV_FLOOR, step=4, what="cov")
+
+    def test_bad_process_shape_provider_names_step_and_term(self):
+        # a callable provider is checked where its value enters the predicted sum
+        m = dataclasses.replace(scalar_model(), ubb_process_shapes=(lambda k: [[-9.0]],))
+        belief = StateBelief([0.0], [[1.0]], [[1.0]], "posterior", 0)
+        with pytest.raises(
+            NumericsError, match=r"^step 3: predicted shape term 1: matrix is not PSD"
+        ) as exc:
+            skf_predict(belief, m, np.zeros(1), 3)
+        assert exc.value.step == 3
 
     def test_spd_preserved_over_benchmark_run(self):
         cfg = example1_config()

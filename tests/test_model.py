@@ -1,6 +1,8 @@
 """Model and linearization tests."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +90,49 @@ class TestLinearizeProcess:
         m = build_model(example1_config())
         with pytest.raises(ValueError, match="input has dimension 2, expected 1"):
             linearize_process(m, np.zeros(1), np.zeros(2), k=1)
+
+
+# a constant that breaks the matrix rule, and the start of its message
+BAD_CONSTANTS = [
+    pytest.param(
+        {"ubb_process_shapes": (np.eye(1), np.array([[-9.0]]))},
+        "ubb_process_shapes[1]: matrix is not PSD",
+        id="ubb_process_shapes",
+    ),
+    pytest.param(
+        {"meas_noise_cov": np.array([[-1.0]])},
+        "meas_noise_cov: matrix is not PSD",
+        id="meas_noise_cov",
+    ),
+    pytest.param(
+        {"process_noise_cov": np.array([[1.0, 0.5], [0.0, 1.0]])},
+        "process_noise_cov: matrix asymmetry",
+        id="process_noise_cov",
+    ),
+    pytest.param(
+        {"ubb_meas_shape": np.array([[np.nan]])},
+        "ubb_meas_shape: matrix has non-finite",
+        id="ubb_meas_shape",
+    ),
+    pytest.param(
+        {"meas_noise_cov": np.ones((2, 1, 1))},
+        "meas_noise_cov: shape matrix must be square",
+        id="meas_noise_cov-stack",
+    ),
+]
+
+
+class TestConstantMatrices:
+    @pytest.mark.parametrize("fields, message", BAD_CONSTANTS)
+    def test_rejected_at_construction(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(linear_model(np.eye(1)), **fields)
+
+    def test_callable_is_kept_unchecked(self):
+        # the filter checks a provider's values when it uses them
+        provider = lambda k: np.array([[-9.0]])  # noqa: E731
+        m = dataclasses.replace(linear_model(np.eye(1)), ubb_meas_shape=provider)
+        assert m.ubb_meas_shape is provider
 
 
 class TestLinearizeMeasurement:

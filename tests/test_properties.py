@@ -9,6 +9,8 @@ derandomized, so every run checks the same examples.
 rounding error of order eps * |entries|. So "idempotent" and "eigmin at
 least floor" hold only up to ``ROUNDING`` times the largest entry. Over
 3000 random cases the worst deviation measured was 8e-16 of that entry.
+A stack of two matrices must be conditioned exactly, bit for bit, like
+each matrix alone, whichever slot the drawn matrix takes.
 """
 
 import numpy as np
@@ -71,31 +73,54 @@ def test_trace_min_sum_pair_matches_closed_form(shapes):
     assert gap <= 1e-10 * float(np.max(np.abs(expected)))
 
 
+def psd_pairs(min_n):
+    """Two symmetric PSD matrices of one size, for the stacked checks."""
+    return st.integers(min_n, 5).flatmap(lambda n: st.tuples(psd_terms(n), psd_terms(n)))
+
+
+FLOORS = st.sampled_from([0.0, COV_FLOOR, 1e-6, 1.0])
+
+
+def in_slot(mat, other, slot):
+    """A 2-stack with ``mat`` in ``slot`` and ``other`` in the remaining one."""
+    return np.stack([mat, other] if slot == 0 else [other, mat])
+
+
 @PROPERTY
-@given(
-    st.integers(1, 5).flatmap(psd_terms),
-    st.sampled_from([0.0, COV_FLOOR, 1e-6, 1.0]),
-)
-def test_condition_lifts_to_floor_and_is_idempotent(mat, floor):
+@given(psd_pairs(1), FLOORS, FLOORS, st.sampled_from([0, 1]))
+def test_condition_lifts_to_floor_and_is_idempotent(pair, floor, other_floor, slot):
+    mat, other = pair
     once = _condition(mat, floor, step=3, what="mat")
     twice = _condition(once, floor, step=3, what="mat")
     rounding = ROUNDING * float(np.max(np.abs(once)))
     assert np.array_equal(once, once.T)
     assert np.max(np.abs(twice - once)) <= rounding
     assert np.linalg.eigvalsh(once)[0] >= floor - rounding
+    floors = np.array([floor, other_floor] if slot == 0 else [other_floor, floor])
+    stacked = _condition(in_slot(mat, other, slot), floors, step=3, what=("a", "b"))
+    assert np.array_equal(stacked[slot], once)
+    other_once = _condition(other, other_floor, step=3, what="other")
+    assert np.array_equal(stacked[1 - slot], other_once)
 
 
 @PROPERTY
-@given(st.integers(2, 5).flatmap(psd_terms), st.integers(0, 10_000))
-def test_condition_asymmetry_threshold(mat, step):
+@given(psd_pairs(2), st.integers(0, 10_000), st.sampled_from([0, 1]))
+def test_condition_asymmetry_threshold(pair, step, slot):
+    mat, other = pair
     tol = _scale_tol(mat)
     below = mat.copy()
     below[0, 1] += 0.99 * tol
     _condition(below, 0.0, step=step, what="mat")
+    _condition(in_slot(below, other, slot), 0.0, step=step, what=("a", "b"))
     above = mat.copy()
     above[0, 1] += 1.01 * tol
     with pytest.raises(NumericsError, match="asymmetry") as exc:
         _condition(above, 0.0, step=step, what="mat")
+    assert exc.value.step == step
+    assert str(exc.value).startswith(f"step {step}:")
+    name = "ab"[slot]
+    with pytest.raises(NumericsError, match=f"{name}: matrix asymmetry") as exc:
+        _condition(in_slot(above, other, slot), 0.0, step=step, what=("a", "b"))
     assert exc.value.step == step
     assert str(exc.value).startswith(f"step {step}:")
 
