@@ -70,9 +70,8 @@ def _apply_config_file(cfg: ExperimentConfig, path: str) -> ExperimentConfig:
 
 def _resolve_config(args) -> ExperimentConfig:
     """Defaults, then the config file (a bad value exits 1), then each flag (exits 2)."""
-    cfg = example1_config() if args.command == "example1" else example2_config()
-    if args.command == "sweep":
-        cfg = example2_config(trials=1)
+    defaults = {"example1": example1_config, "example2": example2_config}
+    cfg = defaults[args.command]() if args.command in defaults else example2_config(trials=1)
     if args.config:
         cfg = _apply_config_file(cfg, args.config)
     for name in ("trials", "steps", "eta", "seed"):

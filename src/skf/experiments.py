@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral, Real
 
 import numpy as np
@@ -47,6 +48,8 @@ _EX2_HEADING1 = math.radians(90.0)
 # them small preserves the designed path while the declared bound still
 # covers kick + draw with a wide margin.
 _EX2_UBB_DRAW_FRACTION = 0.15
+_EYE1 = np.eye(1)
+_EYE4 = np.eye(4)
 
 
 class ExperimentError(RuntimeError):
@@ -55,7 +58,7 @@ class ExperimentError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved settings of one experiment run."""
+    """Fully resolved settings of one experiment run, and ``model``, built once from them."""
 
     which: str
     steps: int
@@ -101,16 +104,26 @@ class ExperimentConfig:
             if name in ("x0", "stations") and value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} has non-finite entries")
             object.__setattr__(self, name, value)
-        initial = np.atleast_2d(self.cov0, self.shape0)
-        _, eigmin = _check_psd(initial, self.x0.size, ("cov0", "shape0"))
-        if eigmin[0] <= 0.0:
-            raise ValueError("cov0 must be strictly positive-definite")
+        if self.which == "example2" and self.stations is None:
+            raise ValueError("which 'example2' requires stations")
+        if self.stations is not None and (len(self.stations) != 2 or len(set(self.stations)) < 2):
+            raise ValueError(f"stations must be two distinct points, got {self.stations}")
         named = [(n, getattr(self, n)) for n in ("process_cov", "meas_cov", "ubb_meas_shape")]
         named += [(f"ubb_process_shapes[{i}]", s) for i, s in enumerate(self.ubb_process_shapes)]
         for name, mat in named:  # as a stack of one, so that a stack given here fails
             _check_psd(np.atleast_2d(mat)[None], names=name)
-        if self.which == "example2" and self.stations is None:
-            raise ValueError("which 'example2' requires stations")
+        model = build_model(self)
+        if self.x0.shape != (model.state_dim,):
+            raise ValueError(f"x0 must be a {model.state_dim}-vector, got shape {self.x0.shape}")
+        for name, mat in named:
+            dim = model.meas_dim if "meas" in name else model.state_dim
+            if len(np.atleast_2d(mat)) != dim:
+                raise ValueError(f"{name} must be {dim}x{dim} ({self.which}), got {np.shape(mat)}")
+        initial = np.atleast_2d(self.cov0, self.shape0)
+        _, eigmin = _check_psd(initial, self.x0.size, ("cov0", "shape0"))
+        if eigmin[0] <= 0.0:
+            raise ValueError("cov0 must be strictly positive-definite")
+        object.__setattr__(self, "model", model)
 
     @property
     def position_dims(self) -> tuple[int, ...]:
@@ -210,17 +223,12 @@ def _ex1_h(x, v, b, k):
     return np.array([x[0] * x[0] / 20.0 + v[0] + b[0]])
 
 
-def _ex1_jacobians() -> AnalyticJacobians:
-    return AnalyticJacobians(
-        f_x=lambda x, u, k: np.array(
-            [[0.5 + 25.0 * (1.0 - x[0] * x[0]) / (1.0 + x[0] * x[0]) ** 2]]
-        ),
-        f_w=lambda x, u, k: np.eye(1),
-        f_a=(lambda x, u, k: np.eye(1),),
-        h_x=lambda x, k: np.array([[x[0] / 10.0]]),
-        h_v=lambda x, k: np.eye(1),
-        h_b=lambda x, k: np.eye(1),
-    )
+def _ex1_f_x(x, u, k):
+    return np.array([[0.5 + 25.0 * (1.0 - x[0] * x[0]) / (1.0 + x[0] * x[0]) ** 2]])
+
+
+def _ex1_h_x(x, k):
+    return np.array([[x[0] / 10.0]])
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -234,32 +242,36 @@ def transition_matrix(dt: float) -> np.ndarray:
     )
 
 
-def _ex2_h_factory(stations):
+def _ex2_f(f_mat, x, u, w, a, k):
+    out = f_mat @ x + w
+    if a:
+        out = out + a[0]
+    return out
+
+
+def _ex2_h(stations, x, v, b, k):
     (s11, s12), (s21, s22) = stations
+    d1 = math.hypot(x[0] - s11, x[1] - s12)
+    d2 = math.hypot(x[0] - s21, x[1] - s22)
+    th1 = math.atan2(x[1] - s12, x[0] - s11)
+    th2 = math.atan2(x[1] - s22, x[0] - s21)
+    return np.array([d1, d2, th1, th2]) + v + b
 
-    def h(x, v, b, k):
-        d1 = math.hypot(x[0] - s11, x[1] - s12)
-        d2 = math.hypot(x[0] - s21, x[1] - s22)
-        th1 = math.atan2(x[1] - s12, x[0] - s11)
-        th2 = math.atan2(x[1] - s22, x[0] - s21)
-        return np.array([d1, d2, th1, th2]) + v + b
 
-    def h_x(x, k):
-        range_rows = []
-        bearing_rows = []
-        for sx, sy in ((s11, s12), (s21, s22)):
-            dx, dy = x[0] - sx, x[1] - sy
-            r2 = dx * dx + dy * dy
-            r = math.sqrt(r2)
-            range_rows.append([dx / r, dy / r, 0.0, 0.0])
-            bearing_rows.append([-dy / r2, dx / r2, 0.0, 0.0])
-        return np.array(range_rows + bearing_rows)
-
-    return h, h_x
+def _ex2_h_x(stations, x, k):
+    range_rows = []
+    bearing_rows = []
+    for sx, sy in stations:
+        dx, dy = x[0] - sx, x[1] - sy
+        r2 = dx * dx + dy * dy
+        r = math.sqrt(r2)
+        range_rows.append([dx / r, dy / r, 0.0, 0.0])
+        bearing_rows.append([-dy / r2, dx / r2, 0.0, 0.0])
+    return np.array(range_rows + bearing_rows)
 
 
 def build_model(cfg: ExperimentConfig) -> NonlinearModel:
-    """Instantiate the system model for a configuration."""
+    """The system model of a configuration; it holds no closure, so it pickles."""
     if cfg.which == "example1":
         return NonlinearModel(
             state_dim=1,
@@ -271,36 +283,29 @@ def build_model(cfg: ExperimentConfig) -> NonlinearModel:
             ubb_process_shapes=cfg.ubb_process_shapes,
             meas_noise_cov=cfg.meas_cov,
             ubb_meas_shape=cfg.ubb_meas_shape,
-            jacobians=_ex1_jacobians(),
+            jacobians=AnalyticJacobians(
+                f_x=_ex1_f_x, f_w=_EYE1, f_a=(_EYE1,), h_x=_ex1_h_x, h_v=_EYE1, h_b=_EYE1
+            ),
         )
     f_mat = transition_matrix(cfg.dt)
-    h, h_x = _ex2_h_factory(cfg.stations)
-
-    def f(x, u, w, a, k):
-        out = f_mat @ x + w
-        if a:
-            out = out + a[0]
-        return out
-
-    jac = AnalyticJacobians(
-        f_x=lambda x, u, k: f_mat,
-        f_w=lambda x, u, k: np.eye(4),
-        f_a=(lambda x, u, k: np.eye(4),),
-        h_x=h_x,
-        h_v=lambda x, k: np.eye(4),
-        h_b=lambda x, k: np.eye(4),
-    )
     return NonlinearModel(
         state_dim=4,
         input_dim=0,
         meas_dim=4,
-        f=f,
-        h=h,
+        f=partial(_ex2_f, f_mat),
+        h=partial(_ex2_h, cfg.stations),
         process_noise_cov=cfg.process_cov,
         ubb_process_shapes=cfg.ubb_process_shapes,
         meas_noise_cov=cfg.meas_cov,
         ubb_meas_shape=cfg.ubb_meas_shape,
-        jacobians=jac,
+        jacobians=AnalyticJacobians(
+            f_x=f_mat,
+            f_w=_EYE4,
+            f_a=(_EYE4,),
+            h_x=partial(_ex2_h_x, cfg.stations),
+            h_v=_EYE4,
+            h_b=_EYE4,
+        ),
         angular_mask=np.array([False, False, True, True]),
     )
 
@@ -342,9 +347,9 @@ def uniform_in_ellipsoid(rng: np.random.Generator, shape: np.ndarray) -> np.ndar
 
 
 def _gaussian_sampler(cov: np.ndarray):
-    """``rng -> x`` with x ~ N(0, cov), factored once."""
-    factor = _psd_factor(cov)
-    return lambda rng: factor @ rng.standard_normal(cov.shape[0])
+    """``rng -> x`` with x ~ N(0, cov), factored once; a scalar counts as 1x1."""
+    factor = _psd_factor(np.atleast_2d(cov))
+    return lambda rng: factor @ rng.standard_normal(factor.shape[0])
 
 
 def ex2_nominal_kicks(steps: int, dt: float) -> np.ndarray:
@@ -384,10 +389,10 @@ def simulate_truth(cfg: ExperimentConfig, rng: np.random.Generator):
     initial state and one measurement row per step.
 
     Draw order per step is fixed (w, bounded process, v, bounded
-    measurement) so identical seeds give identical realizations. Each
-    covariance and shape is factored once, before the first step.
+    measurement) so identical seeds give identical realizations. The maps
+    are ``cfg.model``'s; each covariance and shape is factored once.
     """
-    model = build_model(cfg)
+    model = cfg.model
     n = model.state_dim
     states = np.zeros((cfg.steps + 1, n))
     states[0] = cfg.x0
@@ -427,7 +432,6 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0) -> Trial:
     independent and reproducible in any execution order.
     """
     rng = np.random.default_rng([cfg.seed, trial])
-    model = build_model(cfg)
     states, measurements = simulate_truth(cfg, rng)
 
     fcfg = FilterConfig(eta=cfg.eta)
@@ -441,9 +445,9 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0) -> Trial:
         u = input_vector(cfg, k)
         y = measurements[k - 1]
         try:
-            prior = skf_predict(belief, model, u, k)
-            belief, report = skf_update(prior, y, model, fcfg, k)
-            ekf_x, ekf_p = ekf_step(ekf_x, ekf_p, u, y, model, k)
+            prior = skf_predict(belief, cfg.model, u, k)
+            belief, report = skf_update(prior, y, cfg.model, fcfg, k)
+            ekf_x, ekf_p = ekf_step(ekf_x, ekf_p, u, y, cfg.model, k)
         except Exception as err:
             raise ExperimentError(f"trial {trial} failed at step {k}: {err}") from err
         truth = states[k]

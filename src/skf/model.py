@@ -2,9 +2,10 @@
 
 A model couples a process map ``f(x, u, w, a, k)`` and a measurement map
 ``h(x, v, b, k)``. Noise enters two ways: Gaussian terms (w, v) with
-covariance providers, and bounded terms (a_1..a_I, b) whose reach is an
-ellipsoid with a shape-matrix provider. Jacobians may be supplied
-analytically; otherwise central finite differences are used.
+covariances, and bounded terms (a_1..a_I, b) whose reach is an ellipsoid
+with a shape matrix. Each such matrix, and each analytic Jacobian, is a
+constant, checked once and then served as stored, or a callable of the
+step; Jacobians not given are central finite differences.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 from .ellipsoid import _check_psd
 
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
-
-MatrixProvider = Callable[[int], np.ndarray]
 
 
 class ModelEvaluationError(RuntimeError):
@@ -40,27 +39,48 @@ def _matrix(value) -> np.ndarray:
     return np.atleast_2d(np.asarray(value, dtype=float))
 
 
-def _as_provider(value, name: str) -> MatrixProvider:
+def _serve(field, *args) -> np.ndarray:
+    """A field's matrix at ``args``: a stored constant as is, a callable's value converted."""
+    return _matrix(field(*args)) if callable(field) else field
+
+
+def _psd_constant(value, name: str):
     if callable(value):
         return value
     (mat,), _ = _check_psd(_matrix(value)[None], names=name)  # one matrix, not a stack
-    return lambda k, _m=mat: _m
+    return mat
+
+
+def _jacobian_constant(value, name: str):
+    if value is None or callable(value):
+        return value
+    mat = _matrix(value)
+    if mat.ndim != 2 or not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name}: a constant Jacobian must be finite and 2-D, got {mat.shape}")
+    return mat
 
 
 @dataclass(frozen=True)
 class AnalyticJacobians:
-    """Optional analytic Jacobian providers; any may be left None.
+    """Optional analytic Jacobians, each a constant matrix or a callable; any may be None.
 
-    Process providers take (x, u, k) and are evaluated at w = 0, a = 0;
-    measurement providers take (x, k) and are evaluated at v = 0, b = 0.
+    Process callables take (x, u, k) and are evaluated at w = 0, a = 0;
+    measurement callables take (x, k) and are evaluated at v = 0, b = 0.
     """
 
-    f_x: Callable | None = None
-    f_w: Callable | None = None
-    f_a: Sequence[Callable] | None = None
-    h_x: Callable | None = None
-    h_v: Callable | None = None
-    h_b: Callable | None = None
+    f_x: Callable | np.ndarray | None = None
+    f_w: Callable | np.ndarray | None = None
+    f_a: Sequence[Callable | np.ndarray] | None = None
+    h_x: Callable | np.ndarray | None = None
+    h_v: Callable | np.ndarray | None = None
+    h_b: Callable | np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("f_x", "f_w", "h_x", "h_v", "h_b"):
+            object.__setattr__(self, name, _jacobian_constant(getattr(self, name), name))
+        if self.f_a is not None:
+            f_a = tuple(_jacobian_constant(j, f"f_a[{i}]") for i, j in enumerate(self.f_a))
+            object.__setattr__(self, "f_a", f_a)
 
 
 @dataclass(frozen=True)
@@ -69,8 +89,8 @@ class NonlinearModel:
 
     ``process_noise_cov``, ``meas_noise_cov``, ``ubb_process_shapes`` and
     ``ubb_meas_shape`` accept either a constant matrix or a callable
-    ``k -> matrix``; constants pass ``_check_psd`` here, naming the field,
-    and are wrapped into providers. The filter checks callables' values.
+    ``k -> matrix``; a constant passes ``_check_psd`` here, naming the field,
+    and is stored symmetrized and served as is. The filter checks callables' values.
     """
 
     state_dim: int
@@ -78,19 +98,23 @@ class NonlinearModel:
     meas_dim: int
     f: Callable
     h: Callable
-    process_noise_cov: MatrixProvider
-    ubb_process_shapes: tuple[MatrixProvider, ...]
-    meas_noise_cov: MatrixProvider
-    ubb_meas_shape: MatrixProvider
+    process_noise_cov: Callable | np.ndarray
+    ubb_process_shapes: tuple[Callable | np.ndarray, ...]
+    meas_noise_cov: Callable | np.ndarray
+    ubb_meas_shape: Callable | np.ndarray
     jacobians: AnalyticJacobians | None = None
     angular_mask: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("process_noise_cov", "meas_noise_cov", "ubb_meas_shape"):
-            object.__setattr__(self, name, _as_provider(getattr(self, name), name))
+            object.__setattr__(self, name, _psd_constant(getattr(self, name), name))
         shapes = enumerate(self.ubb_process_shapes)
-        shapes = tuple(_as_provider(s, f"ubb_process_shapes[{i}]") for i, s in shapes)
+        shapes = tuple(_psd_constant(s, f"ubb_process_shapes[{i}]") for i, s in shapes)
         object.__setattr__(self, "ubb_process_shapes", shapes)
+        object.__setattr__(self, "jacobians", self.jacobians or AnalyticJacobians())
+        slots = self.jacobians.f_a
+        if slots is not None and len(shapes) > len(slots):
+            raise ValueError(f"ubb_process_shapes: {len(shapes)} shapes, but f_a has {len(slots)}")
         if self.angular_mask is not None:
             mask = np.asarray(self.angular_mask, dtype=bool)
             if mask.shape != (self.meas_dim,):
@@ -105,8 +129,8 @@ class Linearization:
     ``linearize_process`` fills the process part (the value f_value at the
     expansion point, f_x, f_w, f_a); ``linearize_measurement`` the
     measurement part (h_value, h_x, h_v, h_b). Each also carries the
-    step's noise matrices of its part, evaluated once from the model's
-    providers, so downstream algebra has everything it needs in one place.
+    step's noise matrices of its part, served once from the model's
+    fields, so downstream algebra has everything it needs in one place.
     """
 
     f_value: np.ndarray | None = None
@@ -137,10 +161,10 @@ def central_jacobian(func: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -
     return np.column_stack(cols)
 
 
-def _jacobian(analytic: Callable | None, args: tuple, func: Callable, x0: np.ndarray):
+def _jacobian(analytic, args: tuple, func: Callable, x0: np.ndarray):
     """The analytic Jacobian at ``args`` if given, else central differences of func at x0."""
     if analytic is not None:
-        return _matrix(analytic(*args))
+        return _serve(analytic, *args)
     return central_jacobian(lambda z: np.atleast_1d(func(z)), x0)
 
 
@@ -165,13 +189,13 @@ def linearize_process(
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
     if np.size(u) != m.input_dim:
         raise ValueError(f"input has dimension {np.size(u)}, expected {m.input_dim}")
-    c_u = _matrix(m.process_noise_cov(k))
-    shapes = tuple(_matrix(provider(k)) for provider in m.ubb_process_shapes)
+    c_u = _serve(m.process_noise_cov, k)
+    shapes = tuple(_serve(s, k) for s in m.ubb_process_shapes)
     w0 = np.zeros(c_u.shape[0])
     a0 = [np.zeros(s.shape[0]) for s in shapes]
     f_value = _check_finite(m.f(x_center, u, w0, a0, k), "process value", k)
 
-    jac = m.jacobians or AnalyticJacobians()
+    jac = m.jacobians
     at = (x_center, u, k)
     f_x = _jacobian(jac.f_x, at, lambda x: m.f(x, u, w0, a0, k), x_center)
     f_w = _jacobian(jac.f_w, at, lambda w: m.f(x_center, u, w, a0, k), w0)
@@ -203,13 +227,13 @@ def linearize_measurement(m: NonlinearModel, x_center: np.ndarray, k: int) -> Li
     x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
     if x_center.size != m.state_dim:
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
-    c_z = _matrix(m.meas_noise_cov(k))
-    s_z = _matrix(m.ubb_meas_shape(k))
+    c_z = _serve(m.meas_noise_cov, k)
+    s_z = _serve(m.ubb_meas_shape, k)
     v0 = np.zeros(c_z.shape[0])
     b0 = np.zeros(s_z.shape[0])
     h_value = _check_finite(m.h(x_center, v0, b0, k), "measurement value", k)
 
-    jac = m.jacobians or AnalyticJacobians()
+    jac = m.jacobians
     at = (x_center, k)
     h_x = _jacobian(jac.h_x, at, lambda x: m.h(x, v0, b0, k), x_center)
     h_v = _jacobian(jac.h_v, at, lambda v: m.h(x_center, v, b0, k), v0)

@@ -143,6 +143,13 @@ class TestRunCommand:
             ("shape0", [[1.0, 0.0], [0.0, 1.0]]),
             ("cov0", [[0.0]]),
             ("ubb_meas_shape", [[[4.0]]]),
+            # sizes are checked against the scenario's model
+            ("process_cov", [[1.0, 0.0], [0.0, 1.0]]),
+            ("meas_cov", [[1.0, 0.0], [0.0, 1.0]]),
+            ("x0", [0.1, 0.1]),
+            ("x0", 0.1),
+            ("ubb_process_shapes", [[[9.0]], [[9.0]]]),
+            ("ubb_process_shapes", [[[1.0, 0.0], [0.0, 1.0]]]),
         ],
     )
     def test_bad_config_value_exits_1_before_output(self, tmp_path, capsys, key, value):
@@ -150,6 +157,25 @@ class TestRunCommand:
         cfg_file.write_text(json.dumps({key: value}))
         out = tmp_path / "bad"
         assert main(["example1", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ubb_meas_shape", [[1.0, 0.0], [0.0, 1.0]]),
+            ("meas_cov", [[1.0]]),
+            ("process_cov", [[1.0]]),
+            ("x0", [0.0, 0.0]),
+            ("stations", [[50.0, 100.0], [50.0, 100.0]]),
+            ("stations", [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+        ],
+    )
+    def test_bad_example2_config_value_exits_1_before_output(self, tmp_path, capsys, key, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        out = tmp_path / "bad"
+        assert main(["example2", "--config", str(cfg_file), "--out", str(out)]) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
 

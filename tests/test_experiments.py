@@ -1,10 +1,12 @@
 """Benchmark experiment tests."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
+import skf.experiments
 from skf.experiments import (
     Trial,
     aggregate,
@@ -23,6 +25,7 @@ from skf.experiments import (
     uniform_in_ellipsoid,
 )
 from skf.filter import FilterConfig, StateBelief, skf_predict, skf_update
+from skf.model import linearize_measurement, linearize_process
 
 
 def noiseless(cfg):
@@ -88,6 +91,21 @@ class TestConfigs:
                 example1_config(**{key: value})
         with pytest.raises(ValueError):
             dataclasses.replace(example1_config(), which="example3")
+        # an initial belief of a consistent size still has to fit the model
+        with pytest.raises(ValueError, match="x0"):
+            dataclasses.replace(example1_config(), x0=[0.1, 0.1], cov0=np.eye(2), shape0=np.eye(2))
+
+    @pytest.mark.parametrize("make", [example1_config, example2_config])
+    def test_pickled_config_carries_an_equal_model(self, make):
+        cfg = make()
+        copy = pickle.loads(pickle.dumps(cfg))
+        x = cfg.x0 + 0.3
+        u = input_vector(cfg, 1)
+        for linearize, args in ((linearize_process, (x, u, 1)), (linearize_measurement, (x, 1))):
+            ours, theirs = linearize(cfg.model, *args), linearize(copy.model, *args)
+            for name, a in vars(ours).items():
+                b = getattr(theirs, name)
+                assert (a is None and b is None) or np.array_equal(a, b), name
 
 
 class TestSimulateTruth:
@@ -145,6 +163,13 @@ class TestSimulateTruth:
         b = simulate_truth(cfg, np.random.default_rng([5, 0]))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
+
+    def test_scalar_covariances_count_as_1x1(self):
+        cfg = example1_config(steps=5)
+        scalars = dataclasses.replace(cfg, process_cov=1.0, meas_cov=1.0)
+        a = simulate_truth(cfg, np.random.default_rng([5, 0]))
+        b = simulate_truth(scalars, np.random.default_rng([5, 0]))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 class TestUniformInEllipsoid:
@@ -310,6 +335,12 @@ class TestSensitivity:
             scaled.ubb_process_shapes[0], 100.0 * cfg.ubb_process_shapes[0]
         )
 
+    def test_scaled_config_model_serves_scaled_shapes(self):
+        cfg = example2_config()
+        model = scaled_config(cfg, 10.0).model
+        assert np.array_equal(model.ubb_meas_shape, 100.0 * cfg.model.ubb_meas_shape)
+        assert np.array_equal(model.ubb_process_shapes[0], 100.0 * cfg.model.ubb_process_shapes[0])
+
     def test_negative_scale_rejected(self):
         for scale in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
@@ -323,5 +354,19 @@ class TestParallelism:
         parallel = run_trials(cfg, workers=2)
         assert len(serial) == len(parallel) == 3
         for a, b in zip(serial, parallel):
-            assert np.array_equal(a.skf_center, b.skf_center)
-            assert np.array_equal(a.beta_star, b.beta_star)
+            for field in dataclasses.fields(Trial):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trials_build_no_model(self, monkeypatch, workers):
+        # forked workers inherit the patch, so a build there raises in the pool's caller
+        calls = []
+
+        def build_model(cfg):
+            calls.append(cfg)
+            raise AssertionError("build_model called while running trials")
+
+        cfg = example1_config(trials=2, steps=3)
+        monkeypatch.setattr(skf.experiments, "build_model", build_model)
+        assert len(run_trials(cfg, workers=workers)) == 2
+        assert calls == []

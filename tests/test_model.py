@@ -119,6 +119,11 @@ BAD_CONSTANTS = [
         "meas_noise_cov: shape matrix must be square",
         id="meas_noise_cov-stack",
     ),
+    pytest.param(
+        {"ubb_process_shapes": (np.eye(1), np.eye(1)), "jacobians": AnalyticJacobians(f_a=[1.0])},
+        "ubb_process_shapes: 2 shapes, but f_a has 1",
+        id="ubb_process_shapes-beyond-f_a",
+    ),
 ]
 
 
@@ -133,6 +138,28 @@ class TestConstantMatrices:
         provider = lambda k: np.array([[-9.0]])  # noqa: E731
         m = dataclasses.replace(linear_model(np.eye(1)), ubb_meas_shape=provider)
         assert m.ubb_meas_shape is provider
+
+
+class TestConstantJacobians:
+    def test_nested_list_is_served_as_stored_2d_array(self):
+        jac = AnalyticJacobians(f_w=[[2.0]], h_b=[[3.0]])
+        m = dataclasses.replace(linear_model(np.eye(1)), jacobians=jac)
+        f_w = linearize_process(m, np.zeros(1), np.zeros(1), 1).f_w
+        assert isinstance(f_w, np.ndarray) and f_w.shape == (1, 1) and f_w[0, 0] == 2.0
+        assert linearize_process(m, np.ones(1), np.zeros(1), 2).f_w is f_w
+        assert linearize_measurement(m, np.zeros(1), 1).h_b is m.jacobians.h_b
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"h_b": [[np.nan]]}, "h_b"),
+            ({"f_x": np.ones((2, 1, 1))}, "f_x"),
+            ({"f_a": (np.eye(1), np.ones((1, 1, 1)))}, "f_a[1]"),
+        ],
+    )
+    def test_bad_constant_rejected_at_construction(self, fields, name):
+        with pytest.raises(ValueError, match=re.escape(f"{name}:")):
+            AnalyticJacobians(**fields)
 
 
 class TestLinearizeMeasurement:
