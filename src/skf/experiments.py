@@ -56,6 +56,15 @@ class ExperimentError(RuntimeError):
     """A trial failed; the message carries trial and step context."""
 
 
+def _equal(a, b) -> bool:
+    """Equality of config values: arrays by shape and entries, tuples item by item."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved settings of one experiment run, and ``model``, built once from them."""
@@ -124,6 +133,14 @@ class ExperimentConfig:
         if eigmin[0] <= 0.0:
             raise ValueError("cov0 must be strictly positive-definite")
         object.__setattr__(self, "model", model)
+
+    def __eq__(self, other):
+        """Field by field, arrays by value; the derived ``model`` is not compared."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            _equal(getattr(self, f.name), getattr(other, f.name)) for f in dataclasses.fields(self)
+        )
 
     @property
     def position_dims(self) -> tuple[int, ...]:

@@ -44,17 +44,25 @@ def _serve(field, *args) -> np.ndarray:
     return _matrix(field(*args)) if callable(field) else field
 
 
+def _constant(value, name: str) -> np.ndarray:
+    """A constant field as a float matrix; one numpy cannot convert names its field."""
+    try:
+        return _matrix(value)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name}: {err}") from None
+
+
 def _psd_constant(value, name: str):
     if callable(value):
         return value
-    (mat,), _ = _check_psd(_matrix(value)[None], names=name)  # one matrix, not a stack
+    (mat,), _ = _check_psd(_constant(value, name)[None], names=name)  # one matrix, not a stack
     return mat
 
 
 def _jacobian_constant(value, name: str):
     if value is None or callable(value):
         return value
-    mat = _matrix(value)
+    mat = _constant(value, name)
     if mat.ndim != 2 or not np.all(np.isfinite(mat)):
         raise ValueError(f"{name}: a constant Jacobian must be finite and 2-D, got {mat.shape}")
     return mat

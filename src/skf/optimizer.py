@@ -10,9 +10,22 @@ interior minimizer is a zero of G(t) = log(up) - log(down):
   agree, the cost is monotone there and the search returns the end it
   descends to, exactly. Strict descent into that end doubles the bracket
   on that side.
-* Otherwise a fixed-point step t - G/2 from one end starts secant steps
-  on G, safeguarded by bisection on the sign of up - down (Brent,
-  *Algorithms for Minimization without Derivatives*, 1973).
+* Otherwise a fixed-point step t - G/2 from one end starts the search.
+  Each later step fits exp(G/2) = sqrt(up/down) as (a beta + b)/(c beta + 1)
+  through the last three evaluated points and proposes its zero (Jarratt
+  and Nudds, Comput. J. 8(1), 1965); where that zero is undefined or leaves
+  the bracket, a secant step on G, and then bisection on the sign of
+  up - down, take its place (Brent, *Algorithms for Minimization without
+  Derivatives*, 1973). A proposed step within ``TOL`` of the current point
+  ends the search, also where it falls just outside the bracket.
+
+For a scalar measurement the fit is exact: sqrt(up/down) =
+|h_x| sqrt(N/S) (A beta + eta S)/(B + eta N beta), with
+A = (1 - eta) C + eta S, B = (1 - eta) R + eta N, R = h_v^2 C_z and
+N = h_b^2 S_z. G is flat in both tails, where secant steps on G crawl
+but the fit still lands on the zero. On example1 an interior search takes
+5 to 7 evaluations, the two ends included (8 to 16 with secant steps
+alone); on example2 it takes 5 to 8.
 
 An end whose slope sign the values contradict (a slope at rounding level
 pointing the wrong way) does not settle the regime; the interior search
@@ -114,29 +127,67 @@ def _secant(prev: _Point | None, cur: _Point) -> float | None:
     return cur.t - g_cur * (cur.t - prev.t) / (g_cur - g_prev)
 
 
+def _linear_fractional(p1: _Point, p2: _Point, p3: _Point) -> float | None:
+    """Zero of exp(G/2) = (a beta + b)/(c beta + 1) fitted through three points.
+
+    In u = beta / beta_3 - 1 and e = exp(G/2) - 1 the fit is
+    e = (alpha u + e_3)/(delta u + 1), whose zero is u = -e_3 / alpha; with
+    delta = 0 it is the secant step in beta. Returns None where G is
+    undefined at a point, or the fit has no zero.
+    """
+    g1, g2, g3 = _log_ratio(p1), _log_ratio(p2), _log_ratio(p3)
+    if g1 is None or g2 is None or g3 is None:
+        return None
+    # every expm1 argument below stays within double range
+    if max(g1, g2, g3) > 2.0 * T_LIMIT or max(p1.t, p2.t) - p3.t > T_LIMIT:
+        return None
+    e1, e2, e3 = math.expm1(0.5 * g1), math.expm1(0.5 * g2), math.expm1(0.5 * g3)
+    if e1 == e2:
+        return None
+    s1 = (e1 - e3) / math.expm1(p1.t - p3.t)
+    s2 = (e2 - e3) / math.expm1(p2.t - p3.t)
+    alpha = s1 + e1 * (s2 - s1) / (e1 - e2)
+    if not (alpha and math.isfinite(alpha)):
+        return None
+    u = -e3 / alpha
+    return p3.t + math.log1p(u) if u > -1.0 else None
+
+
 def _root(objective, lo: _Point, hi: _Point):
     """Zero of the slope between lo and hi, taken as slope < 0 and slope > 0.
 
     Starts from the end with the larger |G|: its fixed-point step moves
-    furthest. Secant steps that leave the bracket, or that G cannot take,
-    give way to bisection. Returns ``(t, last evaluated point,
-    evaluations)``.
+    furthest. After it, each step tries the linear-fractional zero through
+    the last three evaluated points (lo and hi count, in that order), then
+    the secant step on G; a step within ``TOL`` of the current point ends
+    the search, and one that leaves the bracket, or that G cannot take,
+    gives way to the next, and finally to bisection. Returns
+    ``(t, last evaluated point, evaluations)``.
     """
     a, b = lo, hi
     ends = [p for p in (a, b) if _log_ratio(p) is not None]
     cur = max(ends, key=lambda p: abs(_log_ratio(p))) if ends else a
-    prev = None
+    prev, last = None, (lo, hi)  # last: the evaluated points, in order
     for evals in range(MAX_ITERS + 1):
         if b.t - a.t <= TOL:
             return 0.5 * (a.t + b.t), cur, evals
-        t = _secant(prev, cur)
-        if t is None or not a.t < t < b.t:
-            t = 0.5 * (a.t + b.t)
-        elif abs(t - cur.t) <= TOL:
-            return t, cur, evals
+        step = _linear_fractional(*last) if prev is not None else None
+        if step is None or not (a.t < step < b.t or abs(step - cur.t) <= TOL):
+            step = _secant(prev, cur)
+        t = 0.5 * (a.t + b.t)
+        if step is not None:
+            inside = a.t < step < b.t
+            # A point the search evaluated is a bracket end, so a step onto
+            # it leaves the bracket; an initial end's slope can be at
+            # rounding level, so its own step counts only inside.
+            if abs(step - cur.t) <= TOL and (inside or prev is not None):
+                return step, cur, evals
+            if inside:
+                t = step
         if evals == MAX_ITERS:
             break
         prev, cur = cur, _eval(objective, t)
+        last = (*last[-2:], cur)
         if cur.up == cur.down:
             return t, cur, evals + 1
         if cur.up < cur.down:

@@ -107,6 +107,22 @@ class TestConfigs:
                 b = getattr(theirs, name)
                 assert (a is None and b is None) or np.array_equal(a, b), name
 
+    @pytest.mark.parametrize("make", [example1_config, example2_config])
+    def test_equal_configs_compare_equal(self, make):
+        cfg = make()
+        assert cfg == make()
+        assert cfg == pickle.loads(pickle.dumps(cfg))
+        assert not cfg != make()
+
+    def test_configs_differing_in_one_matrix_entry_compare_unequal(self):
+        cfg = example2_config()
+        shape = cfg.ubb_meas_shape.copy()
+        shape[3, 3] *= 2.0
+        other = dataclasses.replace(cfg, ubb_meas_shape=shape)
+        assert cfg != other
+        assert not cfg == other
+        assert example1_config() != cfg
+
 
 class TestSimulateTruth:
     def test_noise_free_first_step(self):
@@ -257,6 +273,23 @@ class TestRunTrial:
             x, p = ekf_step(x, p, np.zeros(1), y, model, k)
         assert abs(belief.center[0] - truth[0]) < 0.05 * first
         assert abs(x[0] - truth[0]) < 0.05 * first
+
+    def test_beta_searches_stay_short(self, monkeypatch):
+        # the linear-fractional step: at most 7 cost evaluations per search on
+        # example1 and 9 on example2 (the two ends count)
+        evals = []
+
+        def recording_update(*args):
+            posterior, report = skf_update(*args)
+            evals.append(report.evals)
+            return posterior, report
+
+        monkeypatch.setattr(skf.experiments, "skf_update", recording_update)
+        run_trials(example1_config(trials=10))
+        assert len(evals) == 500 and max(evals) <= 7
+        evals.clear()
+        run_trial(example2_config(trials=1, eta=0.5), 0)
+        assert len(evals) == 300 and max(evals) <= 9
 
 
 class TestAggregate:

@@ -124,6 +124,11 @@ BAD_CONSTANTS = [
         "ubb_process_shapes: 2 shapes, but f_a has 1",
         id="ubb_process_shapes-beyond-f_a",
     ),
+    pytest.param(
+        {"meas_noise_cov": [[1.0], [1.0, 2.0]]},
+        "meas_noise_cov: setting an array element with a sequence",
+        id="meas_noise_cov-ragged",
+    ),
 ]
 
 
@@ -155,6 +160,7 @@ class TestConstantJacobians:
             ({"h_b": [[np.nan]]}, "h_b"),
             ({"f_x": np.ones((2, 1, 1))}, "f_x"),
             ({"f_a": (np.eye(1), np.ones((1, 1, 1)))}, "f_a[1]"),
+            ({"h_v": [[1.0], [1.0, 2.0]]}, "h_v"),
         ],
     )
     def test_bad_constant_rejected_at_construction(self, fields, name):

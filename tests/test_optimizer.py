@@ -1,5 +1,7 @@
 """Scalar minimizer tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,20 @@ class TestRegimes:
         assert result.regime == "interior"
         assert np.log(result.beta) == pytest.approx(1.0, abs=1e-7)
 
+    def test_end_slope_contradicted_with_defined_log_ratio_searches_interior(self):
+        # as above, but G is defined at the lower end (about 1e-10): its
+        # fixed-point step lands within TOL just outside the bracket, which
+        # must not end the search at that end
+        def objective(b):
+            t = np.log(b)
+            if t == -20.0:
+                return (t - 1) ** 2, 1.0 + 1e-10, 1.0
+            return parts((t - 1) ** 2, 2 * (t - 1))
+
+        result = minimize_scalar(ScalarProblem(objective=objective))
+        assert result.regime == "interior"
+        assert np.log(result.beta) == pytest.approx(1.0, abs=1e-7)
+
     def test_interior_search_closing_on_an_end_returns_it_exactly(self):
         # J = t rises everywhere, but the lower end reports a falling slope
         def objective(b):
@@ -143,3 +159,30 @@ class TestRegimes:
         result = minimize_scalar(ScalarProblem(objective=objective))
         assert result.regime == "lower"
         assert result.beta == np.exp(-20.0)
+
+    def test_linear_fractional_ratio_needs_two_steps_after_the_fixed_point(self):
+        # sqrt(up/down) = (4 beta + 0.01)/(beta + 1) is flat in both tails, where
+        # secant steps on G crawl; the linear-fractional fit is exact
+        def objective(b):
+            ratio = (4.0 * b + 0.01) / (b + 1.0)
+            return np.log(ratio) ** 2, ratio, 1.0 / ratio
+
+        result = minimize_scalar(ScalarProblem(objective=objective))
+        assert result.regime == "interior"
+        assert result.evals <= 2 + 1 + 2  # the ends, the fixed-point step, two more
+        assert np.log(result.beta) == pytest.approx(np.log(0.99 / 3.0), abs=1e-10)
+
+    def test_step_within_tol_of_the_current_end_returns(self):
+        # G = 2 (t - 16); the fixed-point step from t = -20 lands on t = 16,
+        # where G = log(1 + 2**-52) moves the next step by less than half an
+        # ulp: it lands on that bracket end itself, and ends the search
+        def objective(b):
+            if b == math.exp(16.0):
+                return 2.0, 1.0 + 2.0**-52, 1.0
+            s = np.log(b) - 16.0
+            return 2.0 * np.cosh(s), np.exp(s), np.exp(-s)
+
+        result = minimize_scalar(ScalarProblem(objective=objective))
+        assert result.regime == "interior"
+        assert result.evals == 3
+        assert np.log(result.beta) == pytest.approx(16.0, abs=1e-12)

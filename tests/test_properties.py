@@ -226,3 +226,46 @@ def test_limit_regime_slope_keeps_one_sign(problem):
     assert result.beta in (np.exp(-20.0), np.exp(20.0))
     _, slopes = grid_oracle(belief, lin, cfg.eta, np.exp(LOG_GRID))
     assert np.all(slopes >= 0.0) or np.all(slopes <= 0.0)
+
+
+def log_uniform(low, high):
+    return st.floats(np.log10(low), np.log10(high)).map(lambda e: 10.0**e)
+
+
+NONZERO = st.tuples(st.sampled_from([-1.0, 1.0]), log_uniform(0.1, 10.0)).map(
+    lambda pair: pair[0] * pair[1]
+)
+
+
+@PROPERTY
+@given(
+    st.tuples(*[log_uniform(1e-3, 1e3)] * 4),
+    st.tuples(NONZERO, NONZERO, NONZERO),
+    st.floats(0.01, 0.99),
+)
+def test_scalar_search_meets_closed_form(spreads, maps, eta):
+    # For n = m = 1, sqrt(up/down) = |h_x| sqrt(N/S) (A beta + eta S)/(B + eta N beta)
+    # with A = (1-eta) C + eta S, B = (1-eta) R + eta N, R = h_v^2 C_z and
+    # N = h_b^2 S_z: a linear-fractional function of beta with one zero.
+    c, s, c_z, s_z = spreads
+    h_x, h_v, h_b = maps
+    r, n = h_v**2 * c_z, h_b**2 * s_z
+    a, b = (1 - eta) * c + eta * s, (1 - eta) * r + eta * n
+    k = abs(h_x) * np.sqrt(n / s)
+    beta_star = (b - eta * abs(h_x) * np.sqrt(n * s)) / (k * a - eta * n)
+
+    belief = StateBelief([0.0], [[c]], [[s]], "prior", 1)
+    lin = Linearization(
+        h_x=np.array([[h_x]]),
+        h_v=np.array([[h_v]]),
+        h_b=np.array([[h_b]]),
+        meas_noise_cov=np.array([[c_z]]),
+        meas_ubb_shape=np.array([[s_z]]),
+    )
+    result = minimize_scalar(ScalarProblem(objective=_beta_cost(_UpdateContext(belief, lin, eta))))
+    if beta_star > 0 and -20.0 < np.log(beta_star) < 20.0:
+        assert result.regime == "interior"
+        assert abs(np.log(result.beta) - np.log(beta_star)) <= 1e-6
+        assert result.evals <= 9
+    else:
+        assert result.regime in ("lower", "upper")
