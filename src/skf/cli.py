@@ -108,7 +108,7 @@ def _write_trials_csv(path: str, cfg: ExperimentConfig, trials) -> None:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -531,7 +531,7 @@ def _crossing_stats(
         "window": [lo + 1, hi],
         "max_semi_axis_in_window": peak,
         "median_semi_axis": median,
-        "ratio": peak / median if median > 0 else float("inf"),
+        "ratio": peak / median if median > 0 else None,  # a point set has no ratio
         "principal_angle_from_normal_deg": angle,
     }
     if meas_ubb_shape is not None and meas_ubb_shape.shape[0] >= 3:
@@ -609,14 +609,14 @@ def aggregate(trials: list[Trial], cfg: ExperimentConfig | None = None) -> dict:
         ]
         found = [c for c in per_trial if c is not None]
         if found:
-            ratios = [c["ratio"] for c in found]
+            ratios = [c["ratio"] for c in found if c["ratio"] is not None]
             angles = [c["principal_angle_from_normal_deg"] for c in found]
             dominance = [c["angle_uncertainty_dominance"] for c in found]
             summary["crossing"] = {
                 "trials_with_crossing": len(found),
                 "crossing_step_median": float(np.median([c["crossing_step"] for c in found])),
-                "ratio_median": float(np.median(ratios)),
-                "ratio_min": float(np.min(ratios)),
+                "ratio_median": float(np.median(ratios)) if ratios else None,
+                "ratio_min": float(np.min(ratios)) if ratios else None,
                 "angle_deg_median": float(np.median(angles)),
                 "angle_deg_max": float(np.max(angles)),
                 "angle_uncertainty_dominance": {

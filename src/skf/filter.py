@@ -27,6 +27,7 @@ Kalman filter. ``FilterConfig`` carries eta alone, a real number in
 [0, 1]. Each matrix check is one ``_check_psd`` call on a stack: of a
 caller's ``StateBelief``, of a predicted sum's terms, and of the cov and
 shape of each computed belief, which ``_condition`` floors exactly once.
+The posterior shape is p T1 + q T2 at the gain's own inflation pair.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ class GainReport:
     descends to that end of the search bracket, which is returned),
     ``"eta_zero"`` (the cost does not depend on beta) or ``"single_set"``
     (at most one set term is live). ``evals`` counts the cost evaluations
-    of the search.
+    of the search. ``gain`` is stationary for the inflation pair (p, q)
+    whose bound p T1 + q T2 is the posterior shape (see ``skf_update``).
     """
 
     gain: np.ndarray
@@ -265,19 +267,6 @@ def _update_terms(belief: StateBelief, lin: Linearization, gain: np.ndarray):
     return cov_plus, t_prior, t_meas
 
 
-def _pair_shape(t_prior: np.ndarray, t_meas: np.ndarray, beta: float) -> np.ndarray:
-    """Two-term outer bound with zero-trace terms dropped (points add nothing)."""
-    tr1 = float(np.trace(t_prior))
-    tr2 = float(np.trace(t_meas))
-    if tr1 <= EPS_TRACE and tr2 <= EPS_TRACE:
-        return np.zeros_like(t_prior)
-    if tr1 <= EPS_TRACE:
-        return t_meas
-    if tr2 <= EPS_TRACE:
-        return t_prior
-    return (1.0 + 1.0 / beta) * t_prior + (1.0 + beta) * t_meas
-
-
 def _beta_cost(ctx: _UpdateContext):
     """The search objective: beta -> (J, up, down), with dJ/dlog(beta) = up - down.
 
@@ -285,10 +274,7 @@ def _beta_cost(ctx: _UpdateContext):
     J = tr((I - K H_x) A) with A = (1 - eta) C + eta (1 + 1/beta) S,
     up = eta beta tr T2 and down = eta tr T1 / beta. T2 is formed as
     (K H_b) S_z (K H_b)^T: as beta grows, K H_b vanishes while K need not,
-    and forming H_b S_z H_b^T first would leave its rounding in T2. The set
-    term keeps the pure pair formula: it is continuous in beta, whereas the
-    point-dropping rule applied to the final shape would step at the drop
-    threshold.
+    and forming H_b S_z H_b^T first would leave its rounding in T2.
     """
     eta, belief, lin = ctx.eta, ctx.belief, ctx.lin
     eye = np.eye(belief.dim)
@@ -319,11 +305,12 @@ def skf_update(
 ) -> tuple[StateBelief, GainReport]:
     """Fold a measurement into a prior belief.
 
-    beta is chosen by minimizing the composite cost J(beta) with the gain
-    K(beta) substituted inside both trace terms. At eta = 0 the cost does
-    not depend on beta; the search is skipped and beta = 1 is reported by
-    convention. The same convention applies when every bounded term is
-    zero and the shape recursion has collapsed to the zero matrix.
+    One inflation pair (p, q) gives the gain, ``ctx.gain(p, q)``, and the
+    posterior shape p T1 + q T2: (1 + 1/beta, 1 + beta) with both set terms
+    live, beta minimizing J(beta) or, at eta = 0, where J does not depend
+    on it, 1 by convention. A limit regime keeps its bracket end. A set
+    term of (essentially) zero trace is a point: it takes 0, a live term
+    1, and beta = 1 is reported.
     """
     if belief.kind != "prior":
         raise ValueError("update starts from a prior belief")
@@ -334,10 +321,8 @@ def skf_update(
     eta = cfg.eta
     ctx = _UpdateContext(belief, lin, eta)
 
-    # A set term with (essentially) zero trace is a single point: it adds
-    # nothing to the pair bound and must not inflate the gain either, or
-    # the beta search would chase an inflation factor of 1 toward the
-    # bracket boundary.
+    # A point set term must not inflate the gain, or the beta search would
+    # chase an inflation factor of 1 toward the bracket boundary.
     prior_set_live = float(np.trace(belief.shape)) > EPS_TRACE
     meas_set_live = float(np.trace(ctx.meas_set_shape)) > EPS_TRACE
     beta_star = 1.0
@@ -345,7 +330,6 @@ def skf_update(
     if eta == 0.0:
         # Cost independent of beta: the gain is exactly the EKF gain.
         regime = "eta_zero"
-        gain = ctx.gain(1.0 + 1.0 / beta_star, 1.0 + beta_star)
     elif prior_set_live and meas_set_live:
         problem = ScalarProblem(objective=_beta_cost(ctx))
         try:
@@ -355,20 +339,22 @@ def skf_update(
                 f"beta search failed on bracket {problem.bracket}: {err}", k
             ) from err
         regime = _LIMIT_REGIMES.get(end, end)
-        gain = ctx.gain(1.0 + 1.0 / beta_star, 1.0 + beta_star)
     else:
-        # At most one set term is live; its inflation factor collapses to 1.
+        # A point term adds nothing to the sum: 0 for it, 1 for a live term.
         regime = "single_set"
-        gain = ctx.gain(1.0 if prior_set_live else 0.0, 1.0 if meas_set_live else 0.0)
+    if prior_set_live and meas_set_live:
+        p_prior, q_meas = 1.0 + 1.0 / beta_star, 1.0 + beta_star
+    else:
+        p_prior, q_meas = float(prior_set_live), float(meas_set_live)
+    gain = ctx.gain(p_prior, q_meas)
     innovation = wrap_angles(y - lin.h_value, m.angular_mask)
     center = belief.center + gain @ innovation
     if not np.all(np.isfinite(center)):
         raise FilterError(f"updated center is not finite: {center}", k)
 
     cov_plus, t_prior, t_meas = _update_terms(belief, lin, gain)
-    posterior = _conditioned_belief(
-        center, cov_plus, _pair_shape(t_prior, t_meas, beta_star), "posterior", k
-    )
+    shape = p_prior * t_prior + q_meas * t_meas
+    posterior = _conditioned_belief(center, cov_plus, shape, "posterior", k)
     trace_cov = float(np.trace(posterior.cov))
     trace_shape = float(np.trace(posterior.shape))
     report = GainReport(

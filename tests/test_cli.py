@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-import skf.ellipsoid
 import skf.experiments
+import skf.filter
 import skf.validation
 from skf.cli import main
 from skf.experiments import (
@@ -17,11 +17,11 @@ from skf.experiments import (
     scaled_config,
     sensitivity_sweep,
 )
+from skf.ellipsoid import EPS_TRACE
 from skf.validation import (
     check_eta_zero_reduction,
     check_gain_stationarity,
-    check_pair_closed_form,
-    check_sum_containment,
+    check_recursion_containment,
     run_all,
 )
 
@@ -247,6 +247,18 @@ class TestSweepCommand:
         assert (out / "trials.csv").exists()
         assert (out / "manifest.json").exists()
 
+    def test_point_set_summary_is_strict_json(self, tmp_path):
+        # at scale 0 the set collapses to a point, so the crossing ratio is undefined
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--trials", "1", "--scales", "0", "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        crossing = summary["per_scale"]["0.0"]["crossing"]
+        assert crossing["ratio_median"] is None and crossing["ratio_min"] is None
+
     def test_sweep_csv_numbers_trials_across_scales(self, tmp_path):
         out = tmp_path / "sweep"
         args = ["sweep", "--trials", "2", "--steps", "20", "--scales", "10,0"]
@@ -304,25 +316,37 @@ class TestValidateCommand:
         assert main(["validate"]) == 0
         assert time.perf_counter() - start < 10.0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 4
+        assert len(lines) == 3
         assert all(line.startswith("PASS") for line in lines)
 
     def test_individual_checks_pass(self):
-        assert check_pair_closed_form(cases=5).passed
+        assert check_recursion_containment(systems=5).passed
         assert check_eta_zero_reduction(steps=10).passed
-        assert check_sum_containment(families=5, draws=200).passed
         assert check_gain_stationarity(configs=3).passed
 
     def test_corrupted_sum_bound_is_caught(self, monkeypatch):
-        # intentional fault: shrink the bound; containment sampling must fail
-        original = skf.ellipsoid.trace_min_sum
+        # intentional fault: shrink the predicted bound; the truth must leave it
+        original = skf.filter.trace_min_sum
 
         def corrupted(shapes):
             return 0.5 * original(shapes)
 
-        monkeypatch.setattr(skf.ellipsoid, "trace_min_sum", corrupted)
-        result = check_sum_containment(families=5, draws=500)
-        assert not result.passed
+        monkeypatch.setattr(skf.filter, "trace_min_sum", corrupted)
+        assert not check_recursion_containment().passed
+
+    def test_dropped_point_term_is_caught(self, monkeypatch):
+        # intentional fault: drop T1 when its bare trace is a point's, although
+        # it enters the bound as (1 + 1/beta) T1 with 1/beta up to e^20
+        original = skf.filter._update_terms
+
+        def dropping(belief, lin, gain):
+            cov_plus, t_prior, t_meas = original(belief, lin, gain)
+            if float(np.trace(t_prior)) <= EPS_TRACE:
+                t_prior = np.zeros_like(t_prior)
+            return cov_plus, t_prior, t_meas
+
+        monkeypatch.setattr(skf.filter, "_update_terms", dropping)
+        assert not check_recursion_containment().passed
 
     def test_failure_exits_1(self, monkeypatch):
         failing = skf.validation.CheckResult("broken", False, "synthetic")

@@ -10,7 +10,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from skf.ellipsoid import pair_sum_shape
 from skf.experiments import (
     build_model,
     example1_config,
@@ -25,7 +24,6 @@ from skf.filter import (
     NumericsError,
     SingularInnovationError,
     StateBelief,
-    _pair_shape,
     _update_terms,
     ekf_step,
     skf_gain,
@@ -58,6 +56,16 @@ def scalar_model(sz=4.0):
         meas_noise_cov=np.eye(1),
         ubb_meas_shape=np.array([[sz]]),
     )
+
+
+# Scalar update set-ups, one per regime: (prior cov, prior shape, eta, S_z).
+REGIME_SETUPS = {
+    "interior": (2.0, 1.0, 0.5, 1.0),
+    "beta_to_zero": (0.01, 100.0, 0.5, 1.0),
+    "beta_to_inf": (0.01, 0.01, 0.5, 1.0),
+    "eta_zero": (2.0, 1.0, 0.0, 1.0),
+    "single_set": (2.0, 1.0, 0.5, 0.0),
+}
 
 
 def production_cost(belief, lin, cfg):
@@ -257,8 +265,8 @@ class TestUpdate:
         post, report = skf_update(prior, np.array([0.5]), m, FilterConfig(eta=1.0), 1)
         gain = report.gain[0, 0]
         assert gain == pytest.approx(1.0, abs=1e-6)  # S H^T (H S H^T)^{-1}
-        # the squeezed prior term drops below the point threshold, so the
-        # bound is exactly the mapped measurement set
+        # the squeezed prior term all but vanishes, so the bound is the mapped
+        # measurement set, inflated by 1 + beta with beta = e^-20
         assert post.shape[0, 0] == pytest.approx(gain**2 * 1e-9, rel=1e-9)
         assert post.shape[0, 0] < 1e-7  # squeezed to the measurement-set scale
 
@@ -347,15 +355,19 @@ class TestUpdate:
             bound = (np.sqrt(m_tr) + np.sqrt(n_tr)) ** 2
             assert report.trace_shape <= bound + 1e-9
 
-    def test_posterior_shape_formula(self):
-        m = scalar_model(sz=1.0)
-        prior = StateBelief([0.0], [[2.0]], [[1.0]], "prior", 1)
-        post, report = skf_update(prior, np.array([1.0]), m, FilterConfig(eta=0.5), 1)
+    @pytest.mark.parametrize("regime", sorted(REGIME_SETUPS))
+    def test_posterior_shape_formula(self, regime):
+        # one inflation pair serves the gain and the shape: p T1 + q T2 with
+        # (1 + 1/beta, 1 + beta) when both set terms are live, else 1 or 0
+        cov, shape, eta, sz = REGIME_SETUPS[regime]
+        prior = StateBelief([0.0], [[cov]], [[shape]], "prior", 1)
+        post, report = skf_update(prior, np.array([1.0]), scalar_model(sz=sz), FilterConfig(eta), 1)
+        assert report.regime == regime
+        beta = report.beta_star
+        p, q = (1.0, 0.0) if regime == "single_set" else (1 + 1 / beta, 1 + beta)
         k = report.gain[0, 0]
-        t1 = np.array([[(1 - k) ** 2 * 1.0]])
-        t2 = np.array([[k**2 * 1.0]])
-        expected = pair_sum_shape(t1, t2, report.beta_star)
-        assert post.shape[0, 0] == pytest.approx(expected[0, 0], rel=1e-12)
+        expected = p * (1 - k) ** 2 * shape + q * k**2 * sz
+        assert post.shape[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_set_terms_collapse_shape(self):
         # no bounded uncertainty anywhere: shape recursion returns zero
@@ -390,37 +402,38 @@ class TestUpdate:
 class TestGainRegime:
     """``GainReport.regime`` and ``evals`` for each way beta is chosen."""
 
-    def update(self, cov, shape, eta=0.5, sz=1.0):
+    def update(self, regime):
+        cov, shape, eta, sz = REGIME_SETUPS[regime]
         prior = StateBelief([0.0], [[cov]], [[shape]], "prior", 1)
         _, report = skf_update(prior, np.array([0.5]), scalar_model(sz=sz), FilterConfig(eta), 1)
         return report
 
     def test_interior(self):
-        report = self.update(2.0, 1.0)
+        report = self.update("interior")
         assert report.regime == "interior"
         assert report.beta_star == pytest.approx(0.5, abs=1e-6)
         assert report.evals >= 3
 
     def test_beta_to_zero(self):
         # a wide prior set against a tight measurement: trust the measurement
-        report = self.update(0.01, 100.0)
+        report = self.update("beta_to_zero")
         assert report.regime == "beta_to_zero"
         assert report.beta_star == np.exp(-20.0)
         assert report.evals == 2
 
     def test_beta_to_inf(self):
         # a tight prior set against a wide measurement set: ignore the set
-        report = self.update(0.01, 0.01)
+        report = self.update("beta_to_inf")
         assert report.regime == "beta_to_inf"
         assert report.beta_star == np.exp(20.0)
         assert report.evals == 2
 
     def test_eta_zero(self):
-        report = self.update(2.0, 1.0, eta=0.0)
+        report = self.update("eta_zero")
         assert (report.regime, report.evals, report.beta_star) == ("eta_zero", 0, 1.0)
 
     def test_single_set(self):
-        report = self.update(2.0, 1.0, sz=0.0)
+        report = self.update("single_set")
         assert (report.regime, report.evals, report.beta_star) == ("single_set", 0, 1.0)
 
 

@@ -1,5 +1,5 @@
-"""Property tests for the Minkowski-sum bound, the conditioning routine and
-the beta search.
+"""Property tests for the Minkowski-sum bound, the conditioning routine,
+the beta search and the set guarantee of the whole recursion.
 
 Inputs span dimensions 1-5, scales 1e-6 to 1e6 and rank-deficient
 terms (set terms of the sum; observation maps of the update). Runs are
@@ -33,6 +33,7 @@ from skf.filter import (
 )
 from skf.model import Linearization
 from skf.optimizer import ScalarProblem, minimize_scalar
+from skf.validation import _CONTAINMENT_TOL, _linear_system, _recursion_forms
 
 ROUNDING = 64 * np.finfo(float).eps
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -269,3 +270,25 @@ def test_scalar_search_meets_closed_form(spreads, maps, eta):
         assert result.evals <= 9
     else:
         assert result.regime in ("lower", "upper")
+
+
+# --- recursion containment -------------------------------------------------
+
+
+@PROPERTY
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.floats(0.01, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_recursion_keeps_truth_inside_every_set(n, m, eta, seed):
+    # A linear system whose only disturbances are bounded, each drawn on its
+    # ellipsoid's boundary: the truth must lie in center + S after every
+    # predict and update of 30 steps. A square or tall h_x (m >= n) lets the
+    # gain annul the prior set, so beta_to_zero steps occur. eta starts at
+    # 0.01: near 0, a tall h_x with zero Gaussian covariances leaves the
+    # gain's bracket singular to rounding, which the update refuses.
+    rng = np.random.default_rng(seed)
+    forms = _recursion_forms(*_linear_system(rng, n, m), eta, 30, rng)
+    assert forms.max() <= 1.0 + _CONTAINMENT_TOL
