@@ -8,11 +8,15 @@ The sum bounds work on shape matrices alone: the center of a sum is the
 sum of the centers, so callers that track centers add them directly.
 
 ``_check_psd`` applies the package's one matrix rule, to one matrix or to
-a stack with one ``eigvalsh`` call; ``_scale_tol`` is its rounding bound.
+a stack with one ``eigh`` call that also gives each matrix's factor;
+``_scale_tol`` is its rounding bound. ``_qr_factor`` and ``trace_min_sum``
+compute factors from factors, PSD by construction, with one QR each.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,14 +52,15 @@ def _failure(names, i, message: str) -> ValueError:
     return ValueError(message)
 
 
-def _check_psd(mats, dim: int | None = None, names=None) -> tuple[np.ndarray, np.ndarray]:
+def _check_psd(mats, dim: int | None = None, names=None):
     """The package's one matrix rule, on one matrix or a stack of one size.
 
     Each matrix must be square (a scalar counts as 1x1), of size ``dim`` if
     given, finite, and symmetric and PSD within ``_scale_tol``. Returns the
-    input symmetrized and the smallest eigenvalue of each matrix, from one
-    ``eigvalsh`` call. A ``ValueError`` names the failing matrix by ``names``:
-    one name per matrix, or one string formatted with its index.
+    input symmetrized, the smallest eigenvalue of each matrix and a factor
+    V sqrt(max(lambda, 0)) of each, all from one ``eigh`` call. A
+    ``ValueError`` names the failing matrix by ``names``: one name per
+    matrix, or one string formatted with its index.
     """
     try:
         s = np.asarray(mats, dtype=float)
@@ -82,12 +87,41 @@ def _check_psd(mats, dim: int | None = None, names=None) -> tuple[np.ndarray, np
         i = np.argmin(fit)
         raise _failure(names, i, f"matrix asymmetry {asym.flat[i]:.3e} exceeds {tol.flat[i]:.3e}")
     s = symmetrize(s)
-    eigmin = np.linalg.eigvalsh(s)[..., 0] if n else np.zeros(s.shape[:-2])
+    eigvals, eigvecs = np.linalg.eigh(s)
+    eigmin = eigvals[..., 0] if n else np.zeros(s.shape[:-2])
     fit = eigmin >= -tol
     if not fit.all():
         i = np.argmin(fit)
         raise _failure(names, i, f"matrix is not PSD (min eigenvalue {eigmin.flat[i]:.3e})")
-    return s, eigmin
+    return s, eigmin, eigvecs * np.sqrt(np.maximum(eigvals, 0.0))[..., None, :]
+
+
+@functools.cache
+def _lower_mask(n: int, cols: int) -> np.ndarray:
+    """Read-only mask of the lower triangle of an n x cols matrix, kept per size."""
+    mask = np.tri(n, cols, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _qr_factor(*blocks: np.ndarray) -> np.ndarray:
+    """The n x n lower-triangular L with L L^T = sum_k B_k B_k^T, for blocks of n rows.
+
+    One QR, [B_1 ... B_K]^T = Q R, gives L = R^T, padded with zero columns
+    when the blocks have fewer than n columns in all. Mode "raw" returns
+    LAPACK's output transposed, with R^T in the lower triangle of its first
+    columns; taking it with a kept mask costs less than mode "r"'s ``triu``.
+    """
+    stacked = np.concatenate(blocks, axis=1)
+    n, width = stacked.shape
+    if n == 1:  # L is the row's norm; np.linalg.qr's call overhead dominates 1 x 1 steps
+        return np.linalg.norm(stacked, keepdims=True)
+    raw, _ = np.linalg.qr(stacked.T, mode="raw")
+    cols = min(n, width)
+    factor = np.where(_lower_mask(n, cols), raw[:, :cols], 0.0)
+    if width < n:
+        factor = np.concatenate((factor, np.zeros((n, n - width))), axis=1)
+    return factor
 
 
 @dataclass(frozen=True)
@@ -109,7 +143,7 @@ class Ellipsoid:
         if center.ndim != 1 or not np.all(np.isfinite(center)):
             raise ValueError("center must be a vector of finite entries")
         # checked as a stack of one, so that a stack given as the shape fails
-        (shape,), (eigmin,) = _check_psd(np.atleast_2d(self.shape)[None], center.size)
+        (shape,), (eigmin,), _ = _check_psd(np.atleast_2d(self.shape)[None], center.size)
         self.__dict__.update(center=center, shape=shape, _eigmin=float(eigmin))
 
     @property
@@ -167,31 +201,37 @@ def pair_sum_shape(s1, s2, beta: float) -> np.ndarray:
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    (s1, s2), _ = _check_psd(np.atleast_2d(s1, s2), names=("s1", "s2"))
+    (s1, s2), _, _ = _check_psd(np.atleast_2d(s1, s2), names=("s1", "s2"))
     return (1.0 + 1.0 / beta) * s1 + (1.0 + beta) * s2
 
 
-def trace_min_sum(shapes: Sequence) -> np.ndarray:
-    """Shape of the trace-minimal outer bound of a Minkowski sum.
+def trace_min_sum(factors: Sequence) -> np.ndarray:
+    """Factor of the trace-minimal outer bound of a Minkowski sum.
 
-    Takes the shape matrices of the terms and returns
-    ``(sum_k sqrt(tr S_k)) * (sum_k S_k / sqrt(tr S_k))`` over the terms
-    with positive trace; zero-trace terms are points and add nothing. The
-    center of the bound is the sum of the term centers, left to the
-    caller. A single term is returned unchanged (symmetrized). Every term
-    must pass ``_check_psd``; a ``ValueError`` names a failing one by index.
+    Takes a factor L_k (n rows) of each term's shape S_k = L_k L_k^T and
+    returns an n x n factor of ``(sum_k r_k) * (sum_k S_k / r_k)``, with
+    r_k = sqrt(tr S_k) = |L_k|_F: one QR of the terms weighted by
+    sqrt(sum_j r_j / r_k). A term with tr S_k <= ``EPS_TRACE`` is a point and
+    adds nothing; the center, the sum of the term centers, is left to the
+    caller. A ``ValueError`` names, by index, a term that is not finite or
+    has another row count than the first.
     """
-    if len(shapes) < 1:
+    if len(factors) < 1:
         raise ValueError("a sum needs at least one term")
-    terms, _ = _check_psd(shapes, names="term {}")
-    if terms.ndim == 2 or len(terms) == 1:  # one term, alone or in a stack of one
-        return terms.reshape(terms.shape[-2:])
-    live = [t for t in terms if float(np.trace(t)) > EPS_TRACE]
+    terms = [np.atleast_2d(np.asarray(f, dtype=float)) for f in factors]
+    n = terms[0].shape[0]
+    roots = []
+    for i, term in enumerate(terms):
+        if term.ndim != 2 or term.shape[0] != n:
+            raise _failure("term {}", i, f"factor has shape {term.shape}, expected {n} rows")
+        roots.append(float(np.linalg.norm(term)))
+        if not math.isfinite(roots[-1]):  # a NaN or inf entry, or a trace beyond float range
+            raise _failure("term {}", i, "factor has non-finite entries")
+    live = [(term, r) for term, r in zip(terms, roots) if r * r > EPS_TRACE]
     if not live:
-        return np.zeros_like(terms[0])
-    roots = [np.sqrt(float(np.trace(m))) for m in live]
-    # exactly symmetric: a weighted sum of the symmetrized terms
-    return sum(roots) * sum(m / r for m, r in zip(live, roots))
+        return np.zeros((n, n))
+    total = sum(r for _, r in live)
+    return _qr_factor(*(np.sqrt(total / r) * term for term, r in live))
 
 
 def sample_boundary(e: Ellipsoid, count: int, seed: int) -> np.ndarray:

@@ -129,7 +129,7 @@ class ExperimentConfig:
             if len(np.atleast_2d(mat)) != dim:
                 raise ValueError(f"{name} must be {dim}x{dim} ({self.which}), got {np.shape(mat)}")
         initial = np.atleast_2d(self.cov0, self.shape0)
-        _, eigmin = _check_psd(initial, self.x0.size, ("cov0", "shape0"))
+        _, eigmin, _ = _check_psd(initial, self.x0.size, ("cov0", "shape0"))
         if eigmin[0] <= 0.0:
             raise ValueError("cov0 must be strictly positive-definite")
         object.__setattr__(self, "model", model)
@@ -327,24 +327,16 @@ def build_model(cfg: ExperimentConfig) -> NonlinearModel:
     )
 
 
-def _psd_factor(shape: np.ndarray) -> np.ndarray:
-    """Factor L with L L^T = shape, tolerant of singular PSD matrices."""
-    vals, vecs = np.linalg.eigh(shape)
-    vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals)
+def _uniform_sampler(factor: np.ndarray):
+    """``rng -> x``, uniform on the solid ellipsoid {x : x^T S^{-1} x <= 1} of S = L L^T.
 
-
-def _uniform_sampler(shape: np.ndarray):
-    """``rng -> x``, uniform on the solid ellipsoid {x : x^T S^{-1} x <= 1}, factored once.
-
-    A shape whose trace is at most ``EPS_TRACE`` is a point: its draw is
-    zero and consumes no random numbers.
+    Takes the factor L. A shape whose trace, the squared norm of L, is at
+    most ``EPS_TRACE`` is a point: its draw is zero and consumes no random
+    numbers.
     """
-    shape = np.atleast_2d(np.asarray(shape, dtype=float))
-    n = shape.shape[0]
-    if float(np.trace(shape)) <= EPS_TRACE:
+    n = factor.shape[0]
+    if float(np.sum(factor * factor)) <= EPS_TRACE:
         return lambda rng: np.zeros(n)
-    factor = _psd_factor(shape)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         direction = rng.standard_normal(n)
@@ -359,13 +351,13 @@ def _uniform_sampler(shape: np.ndarray):
 
 
 def uniform_in_ellipsoid(rng: np.random.Generator, shape: np.ndarray) -> np.ndarray:
-    """Uniform draw from the solid ellipsoid {x : x^T S^{-1} x <= 1}."""
-    return _uniform_sampler(shape)(rng)
+    """Uniform draw from the solid ellipsoid {x : x^T S^{-1} x <= 1}; S follows the matrix rule."""
+    (_,), _, (factor,) = _check_psd(np.atleast_2d(shape)[None], names="shape")
+    return _uniform_sampler(factor)(rng)
 
 
-def _gaussian_sampler(cov: np.ndarray):
-    """``rng -> x`` with x ~ N(0, cov), factored once; a scalar counts as 1x1."""
-    factor = _psd_factor(np.atleast_2d(cov))
+def _gaussian_sampler(factor: np.ndarray):
+    """``rng -> x`` with x ~ N(0, L L^T), for the covariance factor L."""
     return lambda rng: factor @ rng.standard_normal(factor.shape[0])
 
 
@@ -406,8 +398,8 @@ def simulate_truth(cfg: ExperimentConfig, rng: np.random.Generator):
     initial state and one measurement row per step.
 
     Draw order per step is fixed (w, bounded process, v, bounded
-    measurement) so identical seeds give identical realizations. The maps
-    are ``cfg.model``'s; each covariance and shape is factored once.
+    measurement) so identical seeds give identical realizations. The maps,
+    and the factors of the covariances and shapes, are ``cfg.model``'s.
     """
     model = cfg.model
     n = model.state_dim
@@ -415,15 +407,16 @@ def simulate_truth(cfg: ExperimentConfig, rng: np.random.Generator):
     states[0] = cfg.x0
     measurements = np.zeros((cfg.steps, model.meas_dim))
 
+    factor = {name: pair[1] for name, pair in model._psd.items()}  # all constants here
+    draw_factors = [factor[f"ubb_process_shapes[{i}]"] for i in range(len(cfg.ubb_process_shapes))]
     kicks = None
-    draw_shapes = cfg.ubb_process_shapes
     if cfg.which == "example2":
         kicks = ex2_nominal_kicks(cfg.steps, cfg.dt)
-        draw_shapes = [_EX2_UBB_DRAW_FRACTION**2 * s for s in draw_shapes]
-    draw_w = _gaussian_sampler(cfg.process_cov)
-    draw_a = [_uniform_sampler(s) for s in draw_shapes]
-    draw_v = _gaussian_sampler(cfg.meas_cov)
-    draw_b = _uniform_sampler(cfg.ubb_meas_shape)
+        draw_factors = [_EX2_UBB_DRAW_FRACTION * f for f in draw_factors]
+    draw_w = _gaussian_sampler(factor["process_noise_cov"])
+    draw_a = [_uniform_sampler(f) for f in draw_factors]
+    draw_v = _gaussian_sampler(factor["meas_noise_cov"])
+    draw_b = _uniform_sampler(factor["ubb_meas_shape"])
 
     x = np.array(cfg.x0, dtype=float)
     for k in range(1, cfg.steps + 1):
@@ -453,8 +446,8 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0) -> Trial:
 
     fcfg = FilterConfig(eta=cfg.eta)
     belief = StateBelief(cfg.x0, cfg.cov0, cfg.shape0, "posterior", 0)
-    ekf_x = np.array(cfg.x0, dtype=float)
-    ekf_p = np.array(cfg.cov0, dtype=float)
+    # the EKF starts from the SKF's factor, so that at eta = 0 the tracks agree bit for bit
+    ekf_x, ekf_factor = belief.center, belief.cov_factor
     dims = list(cfg.position_dims)
 
     rows = []
@@ -464,10 +457,11 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0) -> Trial:
         try:
             prior = skf_predict(belief, cfg.model, u, k)
             belief, report = skf_update(prior, y, cfg.model, fcfg, k)
-            ekf_x, ekf_p = ekf_step(ekf_x, ekf_p, u, y, cfg.model, k)
+            ekf_x, ekf_factor = ekf_step(ekf_x, ekf_factor, u, y, cfg.model, k)
         except Exception as err:
             raise ExperimentError(f"trial {trial} failed at step {k}: {err}") from err
         truth = states[k]
+        ekf_p = ekf_factor @ ekf_factor.T
         tracks = (belief.center, belief.cov, belief.shape, ekf_x, ekf_p, report.beta_star)
         dists = (float(np.linalg.norm(x[dims] - truth[dims])) for x in (belief.center, ekf_x))
         rows.append((*tracks, *dists))

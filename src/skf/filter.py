@@ -24,50 +24,35 @@ The beta-independent products are formed once per update, in an
 ``_UpdateContext``; every gain of the step comes from it. At eta = 0 the
 center and covariance recursions coincide exactly with the extended
 Kalman filter. ``FilterConfig`` carries eta alone, a real number in
-[0, 1]. Each matrix check is one ``_check_psd`` call on a stack: of a
-caller's ``StateBelief``, of a predicted sum's terms, and of the cov and
-shape of each computed belief, which ``_condition`` floors exactly once.
-The posterior shape is p T1 + q T2 at the gain's own inflation pair.
+[0, 1]. The posterior shape is p T1 + q T2 at the gain's own inflation
+pair. A belief carries factors L_C, L_S of C = L_C L_C^T, S = L_S L_S^T;
+each new one comes from one QR, so a computed belief is PSD by
+construction and is not checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 from typing import Literal
 
 import numpy as np
 
-from .ellipsoid import EPS_TRACE, Ellipsoid, _check_psd, symmetrize, trace_min_sum
+from .ellipsoid import EPS_TRACE, Ellipsoid, _check_psd, _qr_factor, symmetrize, trace_min_sum
 from .model import (
+    FilterError,
     Linearization,
     NonlinearModel,
+    NumericsError,
     linearize_measurement,
     linearize_process,
     wrap_angles,
 )
 from .optimizer import OptimizerError, ScalarProblem, minimize_scalar
 
-# Smallest eigenvalue a propagated covariance keeps; long runs with tiny
-# measurement noise can underflow positive definiteness in floating point.
-COV_FLOOR = 1e-14
-_BELIEF_FLOORS = np.array([COV_FLOOR, 0.0])  # of a computed (cov, shape) stack
-
-
-class FilterError(RuntimeError):
-    """Filter step failure; carries the step index when known."""
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message if step is None else f"step {step}: {message}")
-        self.step = step
-
 
 class SingularInnovationError(FilterError):
     """The innovation-covariance bracket of the gain is not invertible."""
-
-
-class NumericsError(FilterError):
-    """A covariance or shape matrix violated symmetry/PD beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -75,9 +60,9 @@ class StateBelief:
     """State estimate: center, Gaussian covariance, and mean-set shape.
 
     The constructor is the strict check of caller input: cov and shape
-    pass ``_check_psd`` together, and cov must be positive definite.
-    Nothing is lifted; beliefs the filter computes are built
-    by ``_conditioned_belief`` instead.
+    pass ``_check_psd`` together, which also factors them, and cov must be
+    positive definite. Beliefs the filter computes are built from their
+    factors by ``_computed_belief`` instead.
     """
 
     center: np.ndarray
@@ -85,6 +70,8 @@ class StateBelief:
     shape: np.ndarray
     kind: Literal["prior", "posterior"]
     step: int
+    cov_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    shape_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
@@ -93,10 +80,10 @@ class StateBelief:
         if self.kind not in ("prior", "posterior"):
             raise ValueError(f"kind must be 'prior' or 'posterior', got {self.kind!r}")
         mats = np.atleast_2d(self.cov, self.shape)
-        (cov, shape), eigmin = _check_psd(mats, center.size, ("cov", "shape"))
+        (cov, shape), eigmin, (l_c, l_s) = _check_psd(mats, center.size, ("cov", "shape"))
         if eigmin[0] <= 0.0:
             raise ValueError("cov must be strictly positive-definite")
-        self.__dict__.update(center=center, cov=cov, shape=shape)
+        self.__dict__.update(center=center, cov=cov, shape=shape, cov_factor=l_c, shape_factor=l_s)
 
     @property
     def dim(self) -> int:
@@ -142,38 +129,54 @@ class GainReport:
     evals: int
 
 
-def _condition(mats, floor, step: int, what) -> np.ndarray:
-    """Symmetrize and lift each spectrum to its floor; loud failure beyond tolerance.
+def _computed_belief(center, l_c: np.ndarray, l_s: np.ndarray, kind: str, step: int):
+    """A belief the filter computed, from its factors; a non-finite one raises ``NumericsError``.
 
-    ``mats`` is one matrix or a stack, with one ``floor`` or one per matrix,
-    named by ``what`` as by ``_check_psd``'s ``names``; a violation raises
-    ``NumericsError``. A smallest eigenvalue under its floor is lifted by a
-    diagonal shift to 1.001 * floor (``floor=0`` shifts exactly by -eigmin).
+    cov = L_C L_C^T and shape = L_S L_S^T are exactly symmetric and PSD by
+    construction, so the constructor's strict check of caller input does not
+    run. Their traces, sums of squared factor entries, are finite exactly
+    when both matrices are.
     """
-    try:
-        mats, eigmin = _check_psd(mats, names=what)
-    except ValueError as err:
-        raise NumericsError(str(err), step) from err
-    low = eigmin < floor
-    if low.any():
-        shift = (1.001 * floor - eigmin)[..., None, None] * np.eye(mats.shape[-1])
-        mats = np.where(low[..., None, None], mats + shift, mats)
-    return mats
-
-
-def _conditioned_belief(
-    center: np.ndarray, cov: np.ndarray, shape: np.ndarray, kind: str, step: int
-) -> StateBelief:
-    """A belief the filter computed: cov and shape pass one ``_condition`` call.
-
-    The fields are set directly, so the constructor's strict check of
-    caller input does not run again on the conditioned matrices.
-    """
-    what = "predicted" if kind == "prior" else "updated"
-    cov, shape = _condition((cov, shape), _BELIEF_FLOORS, step, (f"{what} cov", f"{what} shape"))
+    cov, shape = l_c @ l_c.T, l_s @ l_s.T
+    if not np.isfinite(cov.trace() + shape.trace()):
+        raise NumericsError(f"{kind} cov or shape is not finite", step)
     belief = object.__new__(StateBelief)
-    belief.__dict__.update(center=center, cov=cov, shape=shape, kind=kind, step=step)
+    belief.__dict__.update(
+        center=center, cov=cov, shape=shape, kind=kind, step=step, cov_factor=l_c, shape_factor=l_s
+    )
     return belief
+
+
+def _predicted_cov_factor(lin: Linearization, l_c: np.ndarray) -> np.ndarray:
+    """Factor of f_x C f_x^T + f_w C_u f_w^T: one QR of [f_x L_C, f_w L_Cu]."""
+    return _qr_factor(lin.f_x @ l_c, lin.f_w @ lin.process_noise_factor)
+
+
+def _joseph_factor(ikh: np.ndarray, l_c: np.ndarray, gain, lin: Linearization) -> np.ndarray:
+    """Factor of the Joseph form: one QR of [(I - K H_x) L_C, K H_v L_Cz]."""
+    return _qr_factor(ikh @ l_c, gain @ lin.h_v @ lin.meas_noise_factor)
+
+
+def _solve_gain(cross: np.ndarray, bracket: np.ndarray, what: str, step: int) -> np.ndarray:
+    """``cross B^-1`` by a linear solve against the symmetrized bracket B.
+
+    A failed or non-finite solve raises ``SingularInnovationError`` that
+    names the bracket by ``what``, with its condition number if finite.
+    """
+    bracket = symmetrize(bracket)
+    try:
+        gain = np.linalg.solve(bracket, cross.T).T
+    except np.linalg.LinAlgError:
+        gain = None
+    if gain is None or not np.all(np.isfinite(gain)):
+        if not np.all(np.isfinite(bracket)):
+            raise SingularInnovationError(f"{what} is not finite", step)
+        raise SingularInnovationError(
+            f"{what} is singular or numerically deficient "
+            f"(condition number {np.linalg.cond(bracket):.3e})",
+            step,
+        )
+    return gain
 
 
 def skf_predict(
@@ -185,20 +188,19 @@ def skf_predict(
     through the full nonlinear map, whose value the linearization has
     already computed; the shape as the trace-minimal outer bound of the
     mapped mean-set ellipsoid plus every mapped bounded process ellipsoid.
+    Both are computed as factors.
     """
     if belief.kind != "posterior":
         raise ValueError("prediction starts from a posterior belief")
     lin = linearize_process(m, belief.center, u, k)
-    f_x, f_w = lin.f_x, lin.f_w
-
-    cov = f_x @ belief.cov @ f_x.T + f_w @ lin.process_noise_cov @ f_w.T
-    terms = [f_x @ belief.shape @ f_x.T]
-    terms += [f_ai @ s_i @ f_ai.T for f_ai, s_i in zip(lin.f_a, lin.ubb_process_shapes)]
+    terms = [lin.f_x @ belief.shape_factor]
+    terms += [f_ai @ l_i for f_ai, l_i in zip(lin.f_a, lin.ubb_process_factors)]
     try:
-        shape = trace_min_sum(terms)
+        shape_factor = trace_min_sum(terms)
     except ValueError as err:
         raise NumericsError(f"predicted shape {err}", k) from err
-    return _conditioned_belief(lin.f_value, cov, shape, "prior", k)
+    cov_factor = _predicted_cov_factor(lin, belief.cov_factor)
+    return _computed_belief(lin.f_value, cov_factor, shape_factor, "prior", k)
 
 
 class _UpdateContext:
@@ -224,22 +226,7 @@ class _UpdateContext:
         bracket = (1.0 - eta) * self.meas_cov + eta * (
             p_prior * self.meas_prior_shape + q_meas * self.meas_set_shape
         )
-        bracket = symmetrize(bracket)
-        try:
-            gain = np.linalg.solve(bracket, cross.T).T
-        except np.linalg.LinAlgError:
-            gain = None
-        if gain is None or not np.all(np.isfinite(gain)):
-            if not np.all(np.isfinite(bracket)):
-                raise SingularInnovationError(
-                    "innovation-covariance bracket is not finite", self.belief.step
-                )
-            raise SingularInnovationError(
-                "innovation-covariance bracket is singular or numerically deficient "
-                f"(condition number {np.linalg.cond(bracket):.3e})",
-                self.belief.step,
-            )
-        return gain
+        return _solve_gain(cross, bracket, "innovation-covariance bracket", self.belief.step)
 
 
 def skf_gain(
@@ -258,13 +245,14 @@ def skf_gain(
 
 
 def _update_terms(belief: StateBelief, lin: Linearization, gain: np.ndarray):
-    """Joseph-form covariance and the two shape building blocks for a gain."""
-    n = belief.dim
-    ikh = np.eye(n) - gain @ lin.h_x
-    cov_plus = ikh @ belief.cov @ ikh.T + gain @ lin.h_v @ lin.meas_noise_cov @ lin.h_v.T @ gain.T
-    t_prior = ikh @ belief.shape @ ikh.T
-    t_meas = gain @ lin.h_b @ lin.meas_ubb_shape @ lin.h_b.T @ gain.T
-    return cov_plus, t_prior, t_meas
+    """The Joseph covariance factor and the factor blocks of the two shape terms for a gain.
+
+    Returns (L_plus, B1, B2): L_plus L_plus^T is the Joseph-form covariance,
+    B1 = (I - K H_x) L_S and B2 = K H_b L_Sz, so T1 = B1 B1^T and T2 = B2 B2^T.
+    """
+    ikh = np.eye(belief.dim) - gain @ lin.h_x
+    cov_factor = _joseph_factor(ikh, belief.cov_factor, gain, lin)
+    return cov_factor, ikh @ belief.shape_factor, gain @ lin.h_b @ lin.meas_ubb_factor
 
 
 def _beta_cost(ctx: _UpdateContext):
@@ -352,9 +340,9 @@ def skf_update(
     if not np.all(np.isfinite(center)):
         raise FilterError(f"updated center is not finite: {center}", k)
 
-    cov_plus, t_prior, t_meas = _update_terms(belief, lin, gain)
-    shape = p_prior * t_prior + q_meas * t_meas
-    posterior = _conditioned_belief(center, cov_plus, shape, "posterior", k)
+    cov_factor, t_prior, t_meas = _update_terms(belief, lin, gain)
+    shape_factor = _qr_factor(np.sqrt(p_prior) * t_prior, np.sqrt(q_meas) * t_meas)
+    posterior = _computed_belief(center, cov_factor, shape_factor, "posterior", k)
     trace_cov = float(np.trace(posterior.cov))
     trace_shape = float(np.trace(posterior.shape))
     report = GainReport(
@@ -371,7 +359,7 @@ def skf_update(
 
 def ekf_step(
     state: np.ndarray,
-    cov: np.ndarray,
+    cov_factor: np.ndarray,
     u: np.ndarray,
     y: np.ndarray,
     m: NonlinearModel,
@@ -379,35 +367,33 @@ def ekf_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One predict+update of a first-order EKF on the same model.
 
+    Takes and returns the state and a factor L of its covariance L L^T.
     Bounded disturbances are ignored entirely; the covariance update uses
     the Joseph form. Kept free of the set-membership code path so the two
-    recursions can be cross-checked against each other. A wrong-size ``y``
-    raises ``ValueError``, a non-finite result ``FilterError`` with the step.
+    recursions can be cross-checked against each other; the gain solve and
+    the factor helpers it shares make them agree bit for bit at eta = 0.
+    A wrong-size ``y`` raises ``ValueError``, a non-finite result
+    ``FilterError`` with the step.
     """
     state = np.atleast_1d(np.asarray(state, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    cov_factor = np.atleast_2d(np.asarray(cov_factor, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.size != m.meas_dim:
         raise ValueError(f"measurement has dimension {y.size}, expected {m.meas_dim}")
 
     lin_p = linearize_process(m, state, u, k)
     x_pred = lin_p.f_value
-    p_pred = lin_p.f_x @ cov @ lin_p.f_x.T + lin_p.f_w @ lin_p.process_noise_cov @ lin_p.f_w.T
-    p_pred = symmetrize(p_pred)
+    pred_factor = _predicted_cov_factor(lin_p, cov_factor)
+    p_pred = pred_factor @ pred_factor.T
 
     lin_m = linearize_measurement(m, x_pred, k)
     h_x, h_v, c_z = lin_m.h_x, lin_m.h_v, lin_m.meas_noise_cov
-    s_inn = symmetrize(h_x @ p_pred @ h_x.T + h_v @ c_z @ h_v.T)
-    try:
-        gain = np.linalg.solve(s_inn, (p_pred @ h_x.T).T).T
-    except np.linalg.LinAlgError as err:
-        raise SingularInnovationError(
-            f"EKF innovation covariance is singular: {err}", k
-        ) from err
+    s_inn = h_x @ p_pred @ h_x.T + h_v @ c_z @ h_v.T
+    gain = _solve_gain(p_pred @ h_x.T, s_inn, "EKF innovation covariance", k)
 
     x_post = x_pred + gain @ wrap_angles(y - lin_m.h_value, m.angular_mask)
     ikh = np.eye(m.state_dim) - gain @ h_x
-    p_post = ikh @ p_pred @ ikh.T + gain @ h_v @ c_z @ h_v.T @ gain.T
-    if not (np.isfinite(x_post).all() and np.isfinite(p_post).all()):
+    post_factor = _joseph_factor(ikh, pred_factor, gain, lin_m)
+    if not (np.isfinite(x_post).all() and np.isfinite(post_factor).all()):
         raise FilterError("EKF updated state or covariance is not finite", k)
-    return x_post, symmetrize(p_post)
+    return x_post, post_factor

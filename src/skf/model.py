@@ -5,12 +5,15 @@ A model couples a process map ``f(x, u, w, a, k)`` and a measurement map
 covariances, and bounded terms (a_1..a_I, b) whose reach is an ellipsoid
 with a shape matrix. Each such matrix, and each analytic Jacobian, is a
 constant, checked once and then served as stored, or a callable of the
-step; Jacobians not given are central finite differences.
+step, checked where it is served; Jacobians not given are central finite
+differences. A covariance or shape is served with its factor L (L L^T the
+matrix). ``NumericsError`` and its base ``FilterError`` are defined here,
+where a provider's value is checked; ``skf.filter`` re-exports both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
@@ -19,6 +22,18 @@ import numpy as np
 from .ellipsoid import _check_psd
 
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+
+
+class FilterError(RuntimeError):
+    """Filter step failure; carries the step index when known."""
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message if step is None else f"step {step}: {message}")
+        self.step = step
+
+
+class NumericsError(FilterError):
+    """A covariance or shape matrix broke the matrix rule, or is not finite."""
 
 
 class ModelEvaluationError(RuntimeError):
@@ -39,9 +54,9 @@ def _matrix(value) -> np.ndarray:
     return np.atleast_2d(np.asarray(value, dtype=float))
 
 
-def _serve(field, *args) -> np.ndarray:
+def _serve(value, *args) -> np.ndarray:
     """A field's matrix at ``args``: a stored constant as is, a callable's value converted."""
-    return _matrix(field(*args)) if callable(field) else field
+    return _matrix(value(*args)) if callable(value) else value
 
 
 def _constant(value, name: str) -> np.ndarray:
@@ -52,11 +67,25 @@ def _constant(value, name: str) -> np.ndarray:
         raise ValueError(f"{name}: {err}") from None
 
 
-def _psd_constant(value, name: str):
-    if callable(value):
-        return value
-    (mat,), _ = _check_psd(_constant(value, name)[None], names=name)  # one matrix, not a stack
-    return mat
+def _psd_pair(value, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A PSD field's value as (symmetrized matrix, factor); it must be one matrix, not a stack."""
+    (mat,), _, (factor,) = _check_psd(_constant(value, name)[None], names=name)
+    return mat, factor
+
+
+def _serve_psd(m: NonlinearModel, name: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A PSD field's (matrix, factor) at step k: stored for a constant, checked for a callable.
+
+    A callable's value that breaks the matrix rule raises ``NumericsError``.
+    """
+    value, factor = m._psd[name]
+    if not callable(value):
+        return value, factor
+    served = value(k)
+    try:
+        return _psd_pair(served, name)
+    except ValueError as err:
+        raise NumericsError(str(err), k) from err
 
 
 def _jacobian_constant(value, name: str):
@@ -97,8 +126,10 @@ class NonlinearModel:
 
     ``process_noise_cov``, ``meas_noise_cov``, ``ubb_process_shapes`` and
     ``ubb_meas_shape`` accept either a constant matrix or a callable
-    ``k -> matrix``; a constant passes ``_check_psd`` here, naming the field,
-    and is stored symmetrized and served as is. The filter checks callables' values.
+    ``k -> matrix``. A constant passes ``_check_psd`` here, naming the field,
+    and is stored symmetrized, with its factor, and served as is. A callable's
+    value passes it each time it is served; a violation raises
+    ``NumericsError`` naming the step and the field.
     """
 
     state_dim: int
@@ -112,13 +143,19 @@ class NonlinearModel:
     ubb_meas_shape: Callable | np.ndarray
     jacobians: AnalyticJacobians | None = None
     angular_mask: np.ndarray | None = None
+    # field name (``ubb_process_shapes[i]`` per shape) -> (value, factor or None)
+    _psd: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("process_noise_cov", "meas_noise_cov", "ubb_meas_shape"):
-            object.__setattr__(self, name, _psd_constant(getattr(self, name), name))
-        shapes = enumerate(self.ubb_process_shapes)
-        shapes = tuple(_psd_constant(s, f"ubb_process_shapes[{i}]") for i, s in shapes)
+        matrices = ("process_noise_cov", "meas_noise_cov", "ubb_meas_shape")
+        named = [(name, getattr(self, name)) for name in matrices]
+        named += [(f"ubb_process_shapes[{i}]", s) for i, s in enumerate(self.ubb_process_shapes)]
+        psd = {name: (v, None) if callable(v) else _psd_pair(v, name) for name, v in named}
+        for name in matrices:
+            object.__setattr__(self, name, psd[name][0])
+        shapes = tuple(psd[name][0] for name, _ in named[3:])
         object.__setattr__(self, "ubb_process_shapes", shapes)
+        object.__setattr__(self, "_psd", psd)
         object.__setattr__(self, "jacobians", self.jacobians or AnalyticJacobians())
         slots = self.jacobians.f_a
         if slots is not None and len(shapes) > len(slots):
@@ -138,7 +175,8 @@ class Linearization:
     expansion point, f_x, f_w, f_a); ``linearize_measurement`` the
     measurement part (h_value, h_x, h_v, h_b). Each also carries the
     step's noise matrices of its part, served once from the model's
-    fields, so downstream algebra has everything it needs in one place.
+    fields, each with its factor beside it, so downstream algebra has
+    everything it needs in one place.
     """
 
     f_value: np.ndarray | None = None
@@ -146,13 +184,17 @@ class Linearization:
     f_w: np.ndarray | None = None
     f_a: tuple[np.ndarray, ...] = ()
     process_noise_cov: np.ndarray | None = None
+    process_noise_factor: np.ndarray | None = None
     ubb_process_shapes: tuple[np.ndarray, ...] = ()
+    ubb_process_factors: tuple[np.ndarray, ...] = ()
     h_value: np.ndarray | None = None
     h_x: np.ndarray | None = None
     h_v: np.ndarray | None = None
     h_b: np.ndarray | None = None
     meas_noise_cov: np.ndarray | None = None
+    meas_noise_factor: np.ndarray | None = None
     meas_ubb_shape: np.ndarray | None = None
+    meas_ubb_factor: np.ndarray | None = None
 
 
 def central_jacobian(func: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> np.ndarray:
@@ -197,8 +239,10 @@ def linearize_process(
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
     if np.size(u) != m.input_dim:
         raise ValueError(f"input has dimension {np.size(u)}, expected {m.input_dim}")
-    c_u = _serve(m.process_noise_cov, k)
-    shapes = tuple(_serve(s, k) for s in m.ubb_process_shapes)
+    c_u, l_u = _serve_psd(m, "process_noise_cov", k)
+    names = [f"ubb_process_shapes[{i}]" for i in range(len(m.ubb_process_shapes))]
+    served = [_serve_psd(m, name, k) for name in names]
+    shapes = tuple(s for s, _ in served)
     w0 = np.zeros(c_u.shape[0])
     a0 = [np.zeros(s.shape[0]) for s in shapes]
     f_value = _check_finite(m.f(x_center, u, w0, a0, k), "process value", k)
@@ -222,7 +266,9 @@ def linearize_process(
         f_w=f_w,
         f_a=tuple(f_a),
         process_noise_cov=c_u,
+        process_noise_factor=l_u,
         ubb_process_shapes=shapes,
+        ubb_process_factors=tuple(factor for _, factor in served),
     )
 
 
@@ -235,8 +281,8 @@ def linearize_measurement(m: NonlinearModel, x_center: np.ndarray, k: int) -> Li
     x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
     if x_center.size != m.state_dim:
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
-    c_z = _serve(m.meas_noise_cov, k)
-    s_z = _serve(m.ubb_meas_shape, k)
+    c_z, l_cz = _serve_psd(m, "meas_noise_cov", k)
+    s_z, l_sz = _serve_psd(m, "ubb_meas_shape", k)
     v0 = np.zeros(c_z.shape[0])
     b0 = np.zeros(s_z.shape[0])
     h_value = _check_finite(m.h(x_center, v0, b0, k), "measurement value", k)
@@ -253,5 +299,7 @@ def linearize_measurement(m: NonlinearModel, x_center: np.ndarray, k: int) -> Li
         h_v=h_v,
         h_b=h_b,
         meas_noise_cov=c_z,
+        meas_noise_factor=l_cz,
         meas_ubb_shape=s_z,
+        meas_ubb_factor=l_sz,
     )

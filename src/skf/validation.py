@@ -70,7 +70,7 @@ def gain_cost(
 
 
 def random_update_setup(rng: np.random.Generator, n: int | None = None, m: int | None = None):
-    """A random prior belief plus measurement linearization for gain checks."""
+    """A random prior belief plus measurement linearization (noise factors too) for gain checks."""
     n = n or int(rng.integers(1, 5))
     m = m or int(rng.integers(1, 5))
     belief = StateBelief(
@@ -80,12 +80,18 @@ def random_update_setup(rng: np.random.Generator, n: int | None = None, m: int |
         kind="prior",
         step=0,
     )
+    h_x = rng.standard_normal((m, n))
+    h_v = rng.standard_normal((m, m)) + 2.0 * np.eye(m)
+    h_b = rng.standard_normal((m, m)) + 2.0 * np.eye(m)
+    c_z, s_z = random_spd(rng, m), random_spd(rng, m)
     lin = Linearization(
-        h_x=rng.standard_normal((m, n)),
-        h_v=rng.standard_normal((m, m)) + 2.0 * np.eye(m),
-        h_b=rng.standard_normal((m, m)) + 2.0 * np.eye(m),
-        meas_noise_cov=random_spd(rng, m),
-        meas_ubb_shape=random_spd(rng, m),
+        h_x=h_x,
+        h_v=h_v,
+        h_b=h_b,
+        meas_noise_cov=c_z,
+        meas_noise_factor=np.linalg.cholesky(c_z),
+        meas_ubb_shape=s_z,
+        meas_ubb_factor=np.linalg.cholesky(s_z),
     )
     return belief, lin
 

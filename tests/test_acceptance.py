@@ -76,7 +76,8 @@ def test_criterion_2_minkowski_containment():
             for _ in range(count)
         )
         center = np.sum([t.center for t in terms], axis=0)
-        shape = trace_min_sum([t.shape for t in terms])
+        factor = trace_min_sum([np.linalg.cholesky(t.shape) for t in terms])
+        shape = factor @ factor.T
         draws = 10_000
         points = np.zeros((draws, n))
         for t in terms:
@@ -103,7 +104,8 @@ def test_criterion_3_trace_optimality_and_pair_closed_form():
         n = int(rng.integers(1, 5))
         count = int(rng.integers(2, 5))
         shapes = [random_spd(rng, n) for _ in range(count)]
-        bound = trace_min_sum(shapes)
+        factor = trace_min_sum([np.linalg.cholesky(s) for s in shapes])
+        bound = factor @ factor.T
         traces = np.array([np.trace(s) for s in shapes])
         alphas = rng.dirichlet(np.ones(count), size=1000)
         family = (traces / alphas).sum(axis=1)
@@ -113,7 +115,8 @@ def test_criterion_3_trace_optimality_and_pair_closed_form():
         n = int(rng.integers(1, 5))
         s1, s2 = random_spd(rng, n), random_spd(rng, n)
         beta = np.sqrt(np.trace(s1) / np.trace(s2))
-        bound = trace_min_sum([s1, s2])
+        factor = trace_min_sum([np.linalg.cholesky(s1), np.linalg.cholesky(s2)])
+        bound = factor @ factor.T
         pair_gap = max(pair_gap, float(np.max(np.abs(bound - pair_sum_shape(s1, s2, beta)))))
     ok = worst_gap <= 1e-9 and pair_gap <= 1e-10
     announce(
@@ -162,10 +165,11 @@ def test_criterion_4_beta_optimizer_vs_grid():
 
         def cost(beta):
             gain = skf_gain(belief, lin, cfg, beta)
-            cov_plus, t1, t2 = _update_terms(belief, lin, gain)
-            tr1, tr2 = float(np.trace(t1)), float(np.trace(t2))
+            # factor and blocks: each trace is a squared Frobenius norm
+            cov_factor, b1, b2 = _update_terms(belief, lin, gain)
+            tr1, tr2 = float(np.sum(b1 * b1)), float(np.sum(b2 * b2))
             tr_shape = (1 + 1 / beta) * tr1 + (1 + beta) * tr2
-            value = (1 - eta) * float(np.trace(cov_plus)) + eta * tr_shape
+            value = (1 - eta) * float(np.sum(cov_factor * cov_factor)) + eta * tr_shape
             return value, eta * beta * tr2, eta * tr1 / beta
 
         beta_star, value, _, _ = minimize_scalar(ScalarProblem(objective=cost))

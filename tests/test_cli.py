@@ -328,22 +328,23 @@ class TestValidateCommand:
         # intentional fault: shrink the predicted bound; the truth must leave it
         original = skf.filter.trace_min_sum
 
-        def corrupted(shapes):
-            return 0.5 * original(shapes)
+        def corrupted(factors):
+            return 0.5 * original(factors)
 
         monkeypatch.setattr(skf.filter, "trace_min_sum", corrupted)
         assert not check_recursion_containment().passed
 
     def test_dropped_point_term_is_caught(self, monkeypatch):
-        # intentional fault: drop T1 when its bare trace is a point's, although
-        # it enters the bound as (1 + 1/beta) T1 with 1/beta up to e^20
+        # intentional fault: drop T1's block B1 (T1 = B1 B1^T) when its bare trace
+        # is a point's, although it enters the bound as (1 + 1/beta) T1 with
+        # 1/beta up to e^20
         original = skf.filter._update_terms
 
         def dropping(belief, lin, gain):
-            cov_plus, t_prior, t_meas = original(belief, lin, gain)
-            if float(np.trace(t_prior)) <= EPS_TRACE:
+            cov_factor, t_prior, t_meas = original(belief, lin, gain)
+            if float(np.sum(t_prior * t_prior)) <= EPS_TRACE:
                 t_prior = np.zeros_like(t_prior)
-            return cov_plus, t_prior, t_meas
+            return cov_factor, t_prior, t_meas
 
         monkeypatch.setattr(skf.filter, "_update_terms", dropping)
         assert not check_recursion_containment().passed

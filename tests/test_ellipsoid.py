@@ -149,7 +149,7 @@ class TestPairSumShape:
             pair_sum_shape(np.eye(2), np.eye(2), 0.0)
 
     def test_invalid_terms_rejected(self):
-        # the terms follow the same matrix rule as those of trace_min_sum
+        # the terms follow the package's matrix rule
         with pytest.raises(ValueError, match="s1: matrix is not PSD"):
             pair_sum_shape([[-4.0]], np.eye(1), 1.0)
         with pytest.raises(ValueError, match="s2: matrix asymmetry"):
@@ -158,6 +158,12 @@ class TestPairSumShape:
             pair_sum_shape(np.eye(1), np.eye(2), 1.0)
         with pytest.raises(ValueError, match="s1: matrix has non-finite"):
             pair_sum_shape([[np.nan]], np.eye(1), 1.0)
+
+
+def sum_bound(shapes):
+    """The shape of ``trace_min_sum``'s bound, for terms given by their shapes."""
+    out = trace_min_sum([np.linalg.cholesky(s) for s in shapes])
+    return out @ out.T
 
 
 def random_terms(rng, n, count):
@@ -169,7 +175,8 @@ def random_terms(rng, n, count):
 class TestTraceMinSum:
     def test_two_unit_balls(self):
         out = trace_min_sum([np.eye(2), np.eye(2)])
-        assert np.allclose(out, 4.0 * np.eye(2), atol=1e-14)
+        assert out.shape == (2, 2)
+        assert np.allclose(out @ out.T, 4.0 * np.eye(2), atol=1e-14)
 
     def test_centers_add(self):
         # the bound of member sums is centered on the sum of the centers
@@ -178,24 +185,24 @@ class TestTraceMinSum:
             Ellipsoid([1.0, 2.0], random_spd(rng, 2)),
             Ellipsoid([3.0, -1.0], random_spd(rng, 2)),
         ]
-        shape = trace_min_sum([t.shape for t in terms])
+        shape = sum_bound([t.shape for t in terms])
         bound = Ellipsoid(np.sum([t.center for t in terms], axis=0), shape)
         assert np.allclose(bound.center, [4.0, 1.0])
         assert contains(bound, terms[0].center + terms[1].center)
 
     def test_pair_matches_grid_oracle(self):
-        out = trace_min_sum([np.diag([4.0, 1.0]), np.eye(2)])
-        assert np.allclose(np.diag(out), [9.11096096, 4.21359436], atol=1e-7)
+        out = trace_min_sum([np.diag([2.0, 1.0]), np.eye(2)])
+        assert np.allclose(np.diag(out @ out.T), [9.11096096, 4.21359436], atol=1e-7)
 
     def test_single_term_unchanged(self):
-        s = np.array([[5.0]])
-        out = trace_min_sum([s])
-        assert np.array_equal(out, s)
+        # one term takes weight 1, and the QR of a triangular factor keeps it
+        for factor in (np.array([[5.0]]), np.array([[2.0, 0.0], [1.0, 3.0]])):
+            assert np.array_equal(trace_min_sum([factor]), factor)
 
     def test_zero_trace_terms_shift_center_only(self):
         # a zero-trace term is a point: it adds nothing to the shape
         out = trace_min_sum([np.zeros((2, 2)), np.eye(2)])
-        assert np.allclose(out, np.eye(2))
+        assert np.allclose(out @ out.T, np.eye(2))
 
     def test_all_zero_terms_give_point(self):
         out = trace_min_sum([np.zeros((1, 1)), np.zeros((1, 1))])
@@ -207,14 +214,13 @@ class TestTraceMinSum:
             trace_min_sum([np.eye(1), np.eye(2)])
 
     def test_invalid_terms_rejected(self):
+        # any real factor has a PSD product; its rows must match, its entries be finite
         with pytest.raises(ValueError, match="at least one"):
             trace_min_sum([])
-        with pytest.raises(ValueError, match="square"):
-            trace_min_sum([np.ones((2, 3))])
-        with pytest.raises(ValueError, match="asymmetry"):
-            trace_min_sum([np.eye(2), [[1.0, 1e-3], [0.0, 1.0]]])
-        with pytest.raises(ValueError, match="PSD"):
-            trace_min_sum([np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(ValueError, match=r"term 1: factor has shape \(3, 2\), expected 2 rows"):
+            trace_min_sum([np.ones((2, 3)), np.ones((3, 2))])
+        with pytest.raises(ValueError, match=r"term 1: factor has shape \(1, 2, 2\)"):
+            trace_min_sum([np.eye(2), np.ones((1, 2, 2))])
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 trace_min_sum([[[bad]], np.eye(1)])
@@ -228,7 +234,7 @@ class TestTraceMinSum:
             n = int(rng.integers(1, 5))
             s1, s2 = random_spd(rng, n), random_spd(rng, n)
             beta = np.sqrt(np.trace(s1) / np.trace(s2))
-            out = trace_min_sum([s1, s2])
+            out = sum_bound([s1, s2])
             assert np.max(np.abs(out - pair_sum_shape(s1, s2, beta))) < 1e-10
 
     def test_containment_of_member_sums(self):
@@ -237,7 +243,7 @@ class TestTraceMinSum:
             n = int(rng.integers(1, 5))
             count = int(rng.integers(1, 5))
             terms, center = random_terms(rng, n, count)
-            bound = Ellipsoid(center, trace_min_sum([t.shape for t in terms]))
+            bound = Ellipsoid(center, sum_bound([t.shape for t in terms]))
             draws = 400
             points = np.zeros((draws, n))
             for t in terms:
@@ -260,7 +266,7 @@ class TestTraceMinSum:
             n = int(rng.integers(1, 5))
             count = int(rng.integers(2, 5))
             shapes = [random_spd(rng, n) for _ in range(count)]
-            bound = trace_min_sum(shapes)
+            bound = sum_bound(shapes)
             alphas = rng.dirichlet(np.ones(count), size=1000)
             family_traces = alphas @ np.array([np.trace(s) for s in shapes]) * 0.0
             for i, alpha in enumerate(alphas):
@@ -273,7 +279,7 @@ class TestTraceMinSum:
             n = int(rng.integers(1, 5))
             count = int(rng.integers(1, 5))
             terms, _ = random_terms(rng, n, count)
-            out = trace_min_sum([t.shape for t in terms])
+            out = sum_bound([t.shape for t in terms])
             assert np.max(np.abs(out - out.T)) == 0.0
             assert np.linalg.eigvalsh(out)[0] >= -1e-10
 

@@ -263,14 +263,14 @@ class TestRunTrial:
         )
         truth = np.array([5.0])
         belief = StateBelief([0.0], [[4.0]], [[1e-6]], "posterior", 0)
-        x, p = np.array([0.0]), np.array([[4.0]])
+        x, factor = np.array([0.0]), np.array([[2.0]])  # the EKF's covariance factor
         first = abs(belief.center[0] - truth[0])
         for k in range(1, 20):
             truth = f_mat @ truth
             y = truth.copy()
             prior = skf_predict(belief, model, np.zeros(1), k)
             belief, _ = skf_update(prior, y, model, m_cfg, k)
-            x, p = ekf_step(x, p, np.zeros(1), y, model, k)
+            x, factor = ekf_step(x, factor, np.zeros(1), y, model, k)
         assert abs(belief.center[0] - truth[0]) < 0.05 * first
         assert abs(x[0] - truth[0]) < 0.05 * first
 

@@ -6,6 +6,7 @@ cases small enough to verify by hand.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ REGIME_SETUPS = {
 }
 
 
+def factored_linearization(**fields):
+    """A measurement ``Linearization`` whose noise matrices carry Cholesky factors."""
+    c_z, s_z = (np.atleast_2d(fields[name]) for name in ("meas_noise_cov", "meas_ubb_shape"))
+    return Linearization(
+        **fields, meas_noise_factor=np.linalg.cholesky(c_z), meas_ubb_factor=np.linalg.cholesky(s_z)
+    )
+
+
+def sq_norm(factor):
+    """tr(L L^T) of a factor or factor block L: its squared Frobenius norm."""
+    return float(np.sum(factor * factor))
+
+
 def production_cost(belief, lin, cfg):
     """Mirror of the update's search objective (pure pair formula).
 
@@ -76,10 +90,10 @@ def production_cost(belief, lin, cfg):
 
     def cost(beta):
         gain = skf_gain(belief, lin, cfg, beta)
-        cov_plus, t_prior, t_meas = _update_terms(belief, lin, gain)
-        tr_prior, tr_meas = float(np.trace(t_prior)), float(np.trace(t_meas))
+        cov_factor, t_prior, t_meas = _update_terms(belief, lin, gain)
+        tr_prior, tr_meas = sq_norm(t_prior), sq_norm(t_meas)
         tr_shape = (1 + 1 / beta) * tr_prior + (1 + beta) * tr_meas
-        value = (1 - cfg.eta) * float(np.trace(cov_plus)) + cfg.eta * tr_shape
+        value = (1 - cfg.eta) * sq_norm(cov_factor) + cfg.eta * tr_shape
         return value, cfg.eta * beta * tr_meas, cfg.eta * tr_prior / beta
 
     return cost
@@ -265,9 +279,12 @@ class TestUpdate:
         post, report = skf_update(prior, np.array([0.5]), m, FilterConfig(eta=1.0), 1)
         gain = report.gain[0, 0]
         assert gain == pytest.approx(1.0, abs=1e-6)  # S H^T (H S H^T)^{-1}
-        # the squeezed prior term all but vanishes, so the bound is the mapped
-        # measurement set, inflated by 1 + beta with beta = e^-20
-        assert post.shape[0, 0] == pytest.approx(gain**2 * 1e-9, rel=1e-9)
+        # the bound is the pair p (1 - K)^2 S + q K^2 S_z at the report's beta;
+        # abs=0, since the default abs=1e-12 is a 1e-3 tolerance on this value
+        beta = report.beta_star
+        p, q = 1 + 1 / beta, 1 + beta
+        expected = p * (1 - gain) ** 2 * 1.0 + q * gain**2 * 1e-9
+        assert post.shape[0, 0] == pytest.approx(expected, rel=1e-12, abs=0)
         assert post.shape[0, 0] < 1e-7  # squeezed to the measurement-set scale
 
     def test_local_minimality_of_report(self):
@@ -294,7 +311,7 @@ class TestUpdate:
             belief = StateBelief(
                 rng.standard_normal(n), random_spd(rng, n), random_spd(rng, n), "prior", 1
             )
-            lin = Linearization(
+            lin = factored_linearization(
                 h_x=rng.standard_normal((n, n)) + 2 * np.eye(n),
                 h_v=np.eye(n),
                 h_b=np.eye(n),
@@ -326,7 +343,7 @@ class TestUpdate:
                 continue  # flat tail: identity ill-conditioned
             gain = skf_gain(belief, lin, cfg, beta_star)
             _, t_prior, t_meas = _update_terms(belief, lin, gain)
-            ratio = np.sqrt(np.trace(t_prior) / np.trace(t_meas))
+            ratio = np.sqrt(sq_norm(t_prior) / sq_norm(t_meas))
             assert beta_star == pytest.approx(ratio, rel=1e-5)
 
     def test_trace_bound_envelope(self):
@@ -351,7 +368,7 @@ class TestUpdate:
             )
             _, t_prior, t_meas = _update_terms(belief,
                 linearize_measurement(post_model, belief.center, 1), report.gain)
-            m_tr, n_tr = np.trace(t_prior), np.trace(t_meas)
+            m_tr, n_tr = sq_norm(t_prior), sq_norm(t_meas)
             bound = (np.sqrt(m_tr) + np.sqrt(n_tr)) ** 2
             assert report.trace_shape <= bound + 1e-9
 
@@ -481,7 +498,7 @@ class TestModelEvaluations:
             ),
         )
         belief = StateBelief([1.0], [[1.0]], [[1.0]], "posterior", 0)
-        x, p = np.array([1.0]), np.eye(1)
+        x, factor = np.array([1.0]), np.eye(1)
         steps = 5
         for k in range(1, steps + 1):
             prior = skf_predict(belief, m, np.array([0.1]), k)
@@ -489,22 +506,29 @@ class TestModelEvaluations:
         assert calls == dict.fromkeys(("f", "h") + providers, steps)
         calls.update(dict.fromkeys(calls, 0))
         for k in range(1, steps + 1):
-            x, p = ekf_step(x, p, np.array([0.1]), np.array([1.5]), m, k)
+            x, factor = ekf_step(x, factor, np.array([0.1]), np.array([1.5]), m, k)
         assert calls == dict.fromkeys(("f", "h") + providers, steps)
 
 
 NAN = np.array([[np.nan]])
-# a scalar model with a NaN h_x, measurement-noise or process-noise provider
+# a scalar model with a NaN h_x, measurement-noise or process-noise provider, and
+# the start of the EKF's message: a provider's value fails where it is served
 NAN_MODEL_FIELDS = [
-    pytest.param({"jacobians": AnalyticJacobians(h_x=lambda x, k: NAN)}, id="h_x"),
-    pytest.param({"meas_noise_cov": lambda k: NAN}, id="meas_noise_cov"),
-    pytest.param({"process_noise_cov": lambda k: NAN}, id="process_noise_cov"),
+    pytest.param({"jacobians": AnalyticJacobians(h_x=lambda x, k: NAN)}, "EKF", id="h_x"),
+    pytest.param(
+        {"meas_noise_cov": lambda k: NAN}, "meas_noise_cov: matrix has non-finite",
+        id="meas_noise_cov",
+    ),
+    pytest.param(
+        {"process_noise_cov": lambda k: NAN}, "process_noise_cov: matrix has non-finite",
+        id="process_noise_cov",
+    ),
 ]
 
 
 class TestNonFiniteModel:
-    @pytest.mark.parametrize("fields", NAN_MODEL_FIELDS)
-    def test_skf_raises_filter_error_with_step(self, fields):
+    @pytest.mark.parametrize("fields, ekf_message", NAN_MODEL_FIELDS)
+    def test_skf_raises_filter_error_with_step(self, fields, ekf_message):
         m = dataclasses.replace(scalar_model(), **fields)
         belief = StateBelief([0.0], [[1.0]], [[1.0]], "posterior", 0)
         with pytest.raises(FilterError, match="step 3") as exc:
@@ -512,10 +536,10 @@ class TestNonFiniteModel:
             skf_update(prior, np.array([1.0]), m, FilterConfig(eta=0.5), 3)
         assert exc.value.step == 3
 
-    @pytest.mark.parametrize("fields", NAN_MODEL_FIELDS)
-    def test_ekf_raises_filter_error_with_step(self, fields):
+    @pytest.mark.parametrize("fields, ekf_message", NAN_MODEL_FIELDS)
+    def test_ekf_raises_filter_error_with_step(self, fields, ekf_message):
         m = dataclasses.replace(scalar_model(), **fields)
-        with pytest.raises(FilterError, match="step 3: EKF") as exc:
+        with pytest.raises(FilterError, match=f"step 3: {ekf_message}") as exc:
             ekf_step(np.zeros(1), np.eye(1), np.zeros(1), np.array([1.0]), m, 3)
         assert exc.value.step == 3
 
@@ -539,13 +563,14 @@ class TestEkf:
             ubb_meas_shape=np.zeros((1, 1)),
         )
         x = np.zeros(2)
-        p = np.eye(2)
+        factor = np.eye(2)  # ekf_step takes and returns a factor L of P = L L^T
         x_ref = x.copy()
-        p_ref = p.copy()
+        p_ref = np.eye(2)
         for k in range(1, 31):
             u = rng.standard_normal(2)
             y = rng.standard_normal(1)
-            x, p = ekf_step(x, p, u, y, m, k)
+            x, factor = ekf_step(x, factor, u, y, m, k)
+            p = factor @ factor.T
             # textbook recursion
             x_pred = f_mat @ x_ref + u
             p_pred = f_mat @ p_ref @ f_mat.T + q
@@ -565,11 +590,11 @@ class TestEkf:
 
     def test_scalar_step_matches_eta_zero_numbers(self):
         m = scalar_model()
-        x, p = ekf_step(np.array([0.0]), np.array([[1.0]]), np.zeros(1),
-                        np.array([3.0]), m, 1)
+        x, factor = ekf_step(np.array([0.0]), np.array([[1.0]]), np.zeros(1),
+                             np.array([3.0]), m, 1)
         # predict: x = 0, P = 2; update with H = 1, R = 1: K = 2/3
         assert x[0] == pytest.approx(2.0, abs=1e-12)
-        assert p[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert factor[0, 0] ** 2 == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_eta_zero_cross_implementation_50_steps(self):
         cfg = example1_config(eta=0.0)
@@ -578,34 +603,34 @@ class TestEkf:
         states, meas = simulate_truth(cfg, rng)
         fcfg = FilterConfig(eta=0.0)
         belief = StateBelief(cfg.x0, cfg.cov0, cfg.shape0, "posterior", 0)
-        x, p = np.array(cfg.x0), np.array(cfg.cov0)
+        x, factor = np.array(cfg.x0), np.sqrt(cfg.cov0)
         for k in range(1, cfg.steps + 1):
             u = input_vector(cfg, k)
             prior = skf_predict(belief, m, u, k)
             belief, _ = skf_update(prior, meas[k - 1], m, fcfg, k)
-            x, p = ekf_step(x, p, u, meas[k - 1], m, k)
+            x, factor = ekf_step(x, factor, u, meas[k - 1], m, k)
             assert np.max(np.abs(belief.center - x)) < 1e-9
-            assert np.max(np.abs(belief.cov - p)) < 1e-9
+            assert np.max(np.abs(belief.cov - factor @ factor.T)) < 1e-9
+
+
+# the PSD fields of scalar_model, each served by a callable whose value is not PSD:
+# all four through the SKF, the two covariances through the EKF
+PSD_PROVIDERS = ["process_noise_cov", "meas_noise_cov", "ubb_process_shapes[0]", "ubb_meas_shape"]
+BAD_PROVIDER_CASES = [("skf", f) for f in PSD_PROVIDERS] + [("ekf", f) for f in PSD_PROVIDERS[:2]]
+
+
+def bad_provider_model(field):
+    bad = lambda k: [[-0.5]]  # noqa: E731
+    if field == "ubb_process_shapes[0]":
+        return dataclasses.replace(scalar_model(), ubb_process_shapes=(bad,))
+    return dataclasses.replace(scalar_model(), **{field: bad})
 
 
 class TestNumericalHygiene:
-    def test_cov_floor_lifts_eigmin(self):
-        import skf.filter as flt
-
-        floored = flt._condition(np.array([[1e-16]]), flt.COV_FLOOR, step=1, what="cov")
-        assert floored[0, 0] >= flt.COV_FLOOR
-        # shapes pass floor 0: a rounding-level negative eigenvalue is
-        # shifted exactly to zero
-        shape = np.array([[1.0, 0.0], [0.0, -1e-12]])
-        lifted = flt._condition(shape, 0.0, step=1, what="shape")
-        assert np.array_equal(lifted, shape - (-1e-12) * np.eye(2))
-
     @pytest.mark.parametrize("scale", [1e2, 1e4])
-    def test_rank_deficient_prediction_is_conditioned_once(self, scale):
-        # F C F^T is singular: its zero eigenvalue is lifted to 1.001 * COV_FLOOR,
-        # far below the eps * |C| rounding of a second eigvalsh check.
-        import skf.filter as flt
-
+    def test_rank_deficient_prediction_keeps_its_factor(self, scale):
+        # F C F^T is singular; its factor, from one QR of F L_C, keeps the zero
+        # eigenvalue (no floor lifts it) and its product is exactly symmetric
         f_mat = np.array([[1.0, 1.0], [1.0, 1.0]])
         m = NonlinearModel(
             state_dim=2,
@@ -625,32 +650,49 @@ class TestNumericalHygiene:
         belief = StateBelief(np.zeros(2), cov0, np.eye(2), "posterior", 0)
         prior = skf_predict(belief, m, np.zeros(2), 1)
         assert np.array_equal(prior.cov, prior.cov.T)
-        expected = flt._condition(f_mat @ cov0 @ f_mat.T, flt.COV_FLOOR, step=1, what="cov")
-        assert np.array_equal(prior.cov, expected)
+        assert np.array_equal(prior.cov, prior.cov_factor @ prior.cov_factor.T)
+        assert np.allclose(prior.cov, f_mat @ cov0 @ f_mat.T, rtol=1e-14, atol=0)
+        assert abs(np.linalg.eigvalsh(prior.cov)[0]) <= 1e-15 * scale
+        post, _ = skf_update(prior, np.zeros(2), m, FilterConfig(eta=0.5), 1)
+        assert np.array_equal(post.cov, post.cov.T)
 
     def test_hygiene_violation_raises(self):
-        import skf.filter as flt
-
-        with pytest.raises(flt.NumericsError, match="asymmetry"):
-            flt._condition(
-                np.array([[1.0, 1e-8], [0.0, 1.0]]), flt.COV_FLOOR, step=4, what="cov"
-            )
-        with pytest.raises(flt.NumericsError, match="eigenvalue"):
-            flt._condition(
-                np.array([[1.0, 0.0], [0.0, -1e-8]]), 0.0, step=4, what="shape"
-            )
+        # a provider's value follows the matrix rule where it is served
+        belief = StateBelief(np.zeros(2), np.eye(2), np.eye(2), "posterior", 0)
+        violations = [
+            ([[1.0, 1e-8], [0.0, 1.0]], "matrix asymmetry"),
+            ([[1.0, 0.0], [0.0, -1e-8]], "matrix is not PSD"),
+        ]
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(flt.NumericsError, match="step 4: cov: matrix has non-finite"):
-                flt._condition(np.array([[bad]]), flt.COV_FLOOR, step=4, what="cov")
+            violations.append(([[bad, 0.0], [0.0, 1.0]], "matrix has non-finite"))
+        for value, message in violations:
+            m = NonlinearModel(
+                state_dim=2,
+                input_dim=2,
+                meas_dim=2,
+                f=lambda x, u, w, a, k: x + u + w,
+                h=lambda x, v, b, k: x + v + b,
+                process_noise_cov=lambda k, value=value: value,
+                ubb_process_shapes=(),
+                meas_noise_cov=np.eye(2),
+                ubb_meas_shape=np.eye(2),
+            )
+            with pytest.raises(NumericsError, match=f"^step 4: process_noise_cov: {message}"):
+                skf_predict(belief, m, np.zeros(2), 4)
 
-    def test_bad_process_shape_provider_names_step_and_term(self):
-        # a callable provider is checked where its value enters the predicted sum
-        m = dataclasses.replace(scalar_model(), ubb_process_shapes=(lambda k: [[-9.0]],))
+    @pytest.mark.parametrize("recursion, field", BAD_PROVIDER_CASES)
+    def test_bad_process_shape_provider_names_step_and_term(self, recursion, field):
+        # a callable provider's value is checked where a linearization serves it
+        m = bad_provider_model(field)
         belief = StateBelief([0.0], [[1.0]], [[1.0]], "posterior", 0)
-        with pytest.raises(
-            NumericsError, match=r"^step 3: predicted shape term 1: matrix is not PSD"
-        ) as exc:
-            skf_predict(belief, m, np.zeros(1), 3)
+        message = "^" + re.escape(f"step 3: {field}: matrix is not PSD")
+        with pytest.raises(NumericsError, match=message) as exc:
+            if recursion == "ekf":
+                ekf_step(np.zeros(1), np.eye(1), np.zeros(1), np.array([1.0]), m, 3)
+            else:
+                prior = skf_predict(belief, scalar_model(), np.zeros(1), 3)
+                skf_predict(belief, m, np.zeros(1), 3)
+                skf_update(prior, np.array([1.0]), m, FilterConfig(eta=0.5), 3)
         assert exc.value.step == 3
 
     def test_spd_preserved_over_benchmark_run(self):

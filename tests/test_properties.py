@@ -1,16 +1,15 @@
-"""Property tests for the Minkowski-sum bound, the conditioning routine,
-the beta search and the set guarantee of the whole recursion.
+"""Property tests for the Minkowski-sum bound, the matrix rule and its
+factor, the beta search and the set guarantee of the whole recursion.
 
 Inputs span dimensions 1-5, scales 1e-6 to 1e6 and rank-deficient
 terms (set terms of the sum; observation maps of the update). Runs are
 derandomized, so every run checks the same examples.
 
-``_condition`` re-runs ``eigvalsh`` on its own output. That value carries
-rounding error of order eps * |entries|. So "idempotent" and "eigmin at
-least floor" hold only up to ``ROUNDING`` times the largest entry. Over
-3000 random cases the worst deviation measured was 8e-16 of that entry.
-A stack of two matrices must be conditioned exactly, bit for bit, like
-each matrix alone, whichever slot the drawn matrix takes.
+The rule's factor L = V sqrt(max(lambda, 0)) comes from ``eigh``, whose
+rounding is of order eps * |entries|, so L L^T matches the matrix only up
+to ``ROUNDING`` times its largest entry. A stack of two matrices must be
+factored exactly, bit for bit, like each matrix alone, whichever slot
+the drawn matrix takes.
 """
 
 import numpy as np
@@ -19,15 +18,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from skf.ellipsoid import EPS_TRACE, _scale_tol, pair_sum_shape, symmetrize, trace_min_sum
+from skf.ellipsoid import (
+    EPS_TRACE,
+    _check_psd,
+    _scale_tol,
+    pair_sum_shape,
+    symmetrize,
+    trace_min_sum,
+)
 from skf.filter import (
-    COV_FLOOR,
     FilterConfig,
-    NumericsError,
     StateBelief,
     _UpdateContext,
     _beta_cost,
-    _condition,
     _update_terms,
     skf_gain,
 )
@@ -40,37 +43,48 @@ PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=
 
 
 @st.composite
-def psd_terms(draw, n, min_rank=0):
-    """A symmetric PSD n x n matrix of random rank and scale 1e-6 .. 1e6."""
+def factor_terms(draw, n, min_rank=0):
+    """An n x rank factor, of random rank and of a shape at scale 1e-6 .. 1e6."""
     rank = draw(st.integers(min_rank, n))
     scale = 10.0 ** draw(st.floats(-6.0, 6.0))
     factor = draw(arrays(np.float64, (n, rank), elements=st.floats(-1.0, 1.0)))
-    return symmetrize(scale * (factor @ factor.T))
+    return np.sqrt(scale) * factor
+
+
+@st.composite
+def psd_terms(draw, n, min_rank=0):
+    """A symmetric PSD n x n matrix of random rank and scale 1e-6 .. 1e6."""
+    factor = draw(factor_terms(n, min_rank))
+    return symmetrize(factor @ factor.T)
 
 
 @st.composite
 def term_families(draw, min_count=1, max_count=4, min_rank=0):
     n = draw(st.integers(1, 5))
     count = draw(st.integers(min_count, max_count))
-    return [draw(psd_terms(n, min_rank)) for _ in range(count)]
+    return [draw(factor_terms(n, min_rank)) for _ in range(count)]
 
 
 @PROPERTY
 @given(term_families())
-def test_trace_min_sum_symmetric_psd(shapes):
-    out = trace_min_sum(shapes)
-    assert np.array_equal(out, out.T)
-    assert np.linalg.eigvalsh(out)[0] >= -_scale_tol(out)
+def test_trace_min_sum_symmetric_psd(factors):
+    out = trace_min_sum(factors)
+    n = factors[0].shape[0]
+    assert out.shape == (n, n)
+    shape = out @ out.T
+    assert np.array_equal(shape, shape.T)
+    assert np.linalg.eigvalsh(shape)[0] >= -_scale_tol(shape)
 
 
 @PROPERTY
 @given(term_families(min_count=2, max_count=2, min_rank=1))
-def test_trace_min_sum_pair_matches_closed_form(shapes):
-    s1, s2 = shapes
+def test_trace_min_sum_pair_matches_closed_form(factors):
+    s1, s2 = (f @ f.T for f in factors)
     tr1, tr2 = float(np.trace(s1)), float(np.trace(s2))
     assume(min(tr1, tr2) > EPS_TRACE)
     expected = pair_sum_shape(s1, s2, np.sqrt(tr1 / tr2))
-    gap = float(np.max(np.abs(trace_min_sum(shapes) - expected)))
+    out = trace_min_sum(factors)
+    gap = float(np.max(np.abs(out @ out.T - expected)))
     assert gap <= 1e-10 * float(np.max(np.abs(expected)))
 
 
@@ -79,51 +93,42 @@ def psd_pairs(min_n):
     return st.integers(min_n, 5).flatmap(lambda n: st.tuples(psd_terms(n), psd_terms(n)))
 
 
-FLOORS = st.sampled_from([0.0, COV_FLOOR, 1e-6, 1.0])
-
-
 def in_slot(mat, other, slot):
     """A 2-stack with ``mat`` in ``slot`` and ``other`` in the remaining one."""
     return np.stack([mat, other] if slot == 0 else [other, mat])
 
 
 @PROPERTY
-@given(psd_pairs(1), FLOORS, FLOORS, st.sampled_from([0, 1]))
-def test_condition_lifts_to_floor_and_is_idempotent(pair, floor, other_floor, slot):
+@given(psd_pairs(1), st.sampled_from([0, 1]))
+def test_matrix_rule_factor_reproduces_the_matrix(pair, slot):
     mat, other = pair
-    once = _condition(mat, floor, step=3, what="mat")
-    twice = _condition(once, floor, step=3, what="mat")
-    rounding = ROUNDING * float(np.max(np.abs(once)))
-    assert np.array_equal(once, once.T)
-    assert np.max(np.abs(twice - once)) <= rounding
-    assert np.linalg.eigvalsh(once)[0] >= floor - rounding
-    floors = np.array([floor, other_floor] if slot == 0 else [other_floor, floor])
-    stacked = _condition(in_slot(mat, other, slot), floors, step=3, what=("a", "b"))
-    assert np.array_equal(stacked[slot], once)
-    other_once = _condition(other, other_floor, step=3, what="other")
-    assert np.array_equal(stacked[1 - slot], other_once)
+    (once,), (eigmin,), (factor,) = _check_psd(mat[None])
+    rounding = ROUNDING * float(np.max(np.abs(mat)))
+    assert np.array_equal(once, mat)  # exactly symmetric input is kept as is
+    assert np.max(np.abs(factor @ factor.T - mat)) <= rounding
+    assert eigmin >= -_scale_tol(mat)
+    _, _, stacked = _check_psd(in_slot(mat, other, slot), names=("a", "b"))
+    assert np.array_equal(stacked[slot], factor)
+    _, _, (other_factor,) = _check_psd(other[None])
+    assert np.array_equal(stacked[1 - slot], other_factor)
 
 
 @PROPERTY
-@given(psd_pairs(2), st.integers(0, 10_000), st.sampled_from([0, 1]))
-def test_condition_asymmetry_threshold(pair, step, slot):
+@given(psd_pairs(2), st.sampled_from([0, 1]))
+def test_matrix_rule_asymmetry_threshold(pair, slot):
     mat, other = pair
     tol = _scale_tol(mat)
     below = mat.copy()
     below[0, 1] += 0.99 * tol
-    _condition(below, 0.0, step=step, what="mat")
-    _condition(in_slot(below, other, slot), 0.0, step=step, what=("a", "b"))
+    _check_psd(below)
+    _check_psd(in_slot(below, other, slot), names=("a", "b"))
     above = mat.copy()
     above[0, 1] += 1.01 * tol
-    with pytest.raises(NumericsError, match="asymmetry") as exc:
-        _condition(above, 0.0, step=step, what="mat")
-    assert exc.value.step == step
-    assert str(exc.value).startswith(f"step {step}:")
+    with pytest.raises(ValueError, match="^matrix asymmetry"):
+        _check_psd(above)
     name = "ab"[slot]
-    with pytest.raises(NumericsError, match=f"{name}: matrix asymmetry") as exc:
-        _condition(in_slot(above, other, slot), 0.0, step=step, what=("a", "b"))
-    assert exc.value.step == step
-    assert str(exc.value).startswith(f"step {step}:")
+    with pytest.raises(ValueError, match=f"^{name}: matrix asymmetry"):
+        _check_psd(in_slot(above, other, slot), names=("a", "b"))
 
 
 # --- beta search -----------------------------------------------------------
@@ -157,7 +162,7 @@ def update_problems(draw):
         return scale * symmetrize(factor @ factor.T + 0.1 * np.eye(k))
 
     belief = StateBelief(np.zeros(n), spd(n), spd(n), "prior", 1)
-    lin = Linearization(
+    lin = factored_linearization(
         h_x=low_rank(draw, m, n),
         h_v=np.eye(m),
         h_b=low_rank(draw, m, m),
@@ -168,6 +173,14 @@ def update_problems(draw):
     ctx = _UpdateContext(belief, lin, cfg.eta)
     result = minimize_scalar(ScalarProblem(objective=_beta_cost(ctx)))
     return belief, lin, cfg, scale, result
+
+
+def factored_linearization(**fields):
+    """A measurement ``Linearization`` whose noise matrices carry Cholesky factors."""
+    c_z, s_z = (np.atleast_2d(fields[name]) for name in ("meas_noise_cov", "meas_ubb_shape"))
+    return Linearization(
+        **fields, meas_noise_factor=np.linalg.cholesky(c_z), meas_ubb_factor=np.linalg.cholesky(s_z)
+    )
 
 
 def grid_oracle(belief, lin, eta, betas):
@@ -205,8 +218,8 @@ def test_interior_beta_meets_envelope_identity(problem):
     belief, lin, cfg, _, result = problem
     assume(result.regime == "interior")
     gain = skf_gain(belief, lin, cfg, result.beta)
-    _, t_prior, t_meas = _update_terms(belief, lin, gain)
-    identity = result.beta**2 * np.trace(t_meas) / np.trace(t_prior)
+    _, t_prior, t_meas = _update_terms(belief, lin, gain)  # T1 = B1 B1^T, T2 = B2 B2^T
+    identity = result.beta**2 * np.sum(t_meas * t_meas) / np.sum(t_prior * t_prior)
     assert abs(identity - 1.0) <= 1e-8
 
 
@@ -292,3 +305,19 @@ def test_recursion_keeps_truth_inside_every_set(n, m, eta, seed):
     rng = np.random.default_rng(seed)
     forms = _recursion_forms(*_linear_system(rng, n, m), eta, 30, rng)
     assert forms.max() <= 1.0 + _CONTAINMENT_TOL
+
+
+@pytest.mark.xfail(strict=True, reason="beta* lies in the noisy lower tail of the search's G")
+def test_scalar_search_noisy_tail_known_failures():
+    # Three inputs that the property above does not draw, each with closed-form
+    # beta* = 1e-4, where G = log(up) - log(down) is rounding noise (ROADMAP
+    # items 7 and 2): the first search returns "lower" after 2 evaluations,
+    # the other two reach beta* in 10 and 11 evaluations, against a bound of 9.
+    check = test_scalar_search_meets_closed_form.hypothesis.inner_test
+    failures = []
+    for s in (1000.0, 100.0, 10.0):
+        try:
+            check((1.0, s, 0.01, s), (-1.0, -0.1, -1.0), 0.75)
+        except AssertionError:
+            failures.append(s)
+    assert not failures, f"the search misses beta* = 1e-4 at S = S_z in {failures}"
