@@ -69,18 +69,18 @@ def _apply_config_file(cfg: ExperimentConfig, path: str) -> ExperimentConfig:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    """Defaults, then the config file (a bad value exits 1), then each flag (exits 2)."""
-    defaults = {"example1": example1_config, "example2": example2_config}
-    cfg = defaults[args.command]() if args.command in defaults else example2_config(trials=1)
+    """Defaults with flags (a bad one exits 2), then any config file (exits 1) and flags again."""
+    flags = {name: getattr(args, name) for name in ("trials", "steps", "eta", "seed")}
+    flags = {name: value for name, value in flags.items() if value is not None}
+    make = example1_config if args.command == "example1" else example2_config
+    defaults = {"trials": 1} if args.command == "sweep" else {}
+    try:
+        cfg = make(**{**defaults, **flags})
+    except ValueError as err:  # the defaults are valid, so a flag is at fault
+        raise _UsageError(str(err)) from None
     if args.config:
         cfg = _apply_config_file(cfg, args.config)
-    for name in ("trials", "steps", "eta", "seed"):
-        value = getattr(args, name)
-        if value is not None:
-            try:
-                cfg = dataclasses.replace(cfg, **{name: value})
-            except ValueError as err:
-                raise _UsageError(f"argument --{name}: {err}") from None
+        cfg = dataclasses.replace(cfg, **flags) if flags else cfg  # flags win over the file
     return cfg
 
 
@@ -113,21 +113,27 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _workers() -> int:
-    """Worker count from ``SKF_THREADS`` (default 1); malformed values are usage errors."""
+    """Worker count from ``SKF_THREADS`` (default 1); one below 1 or malformed is a usage error."""
     env = os.environ.get("SKF_THREADS", "")
     try:
-        return max(1, int(env)) if env else 1
+        workers = int(env) if env else 1
     except ValueError:
-        raise _UsageError(f"SKF_THREADS must be an integer, got {env!r}") from None
+        workers = 0  # malformed: rejected below with the values under 1
+    if workers < 1:
+        raise _UsageError(f"SKF_THREADS must be an integer of at least 1, got {env!r}")
+    return workers
 
 
 def _scale_list(text: str) -> list[float]:
     try:
-        return [float(s) for s in text.split(",")]
+        scales = [float(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be comma-separated numbers, got {text!r}"
         ) from None
+    if len(set(scales)) < len(scales):  # 0 and -0 compare and hash equal
+        raise argparse.ArgumentTypeError(f"must not repeat a scale, got {text!r}")
+    return scales
 
 
 def _cmd_run(args) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral, Real
@@ -67,7 +68,7 @@ def _equal(a, b) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved settings of one experiment run, and ``model``, built once from them."""
+    """Settings of an experiment run; ``model`` and ``initial_belief`` are built once from them."""
 
     which: str
     steps: int
@@ -128,14 +129,15 @@ class ExperimentConfig:
             dim = model.meas_dim if "meas" in name else model.state_dim
             if len(np.atleast_2d(mat)) != dim:
                 raise ValueError(f"{name} must be {dim}x{dim} ({self.which}), got {np.shape(mat)}")
-        initial = np.atleast_2d(self.cov0, self.shape0)
-        _, eigmin, _ = _check_psd(initial, self.x0.size, ("cov0", "shape0"))
-        if eigmin[0] <= 0.0:
-            raise ValueError("cov0 must be strictly positive-definite")
+        try:
+            belief = StateBelief(self.x0, self.cov0, self.shape0, "posterior", 0)
+        except ValueError as err:  # its messages begin with "cov" or "shape", here cov0 and shape0
+            raise ValueError(re.sub(r"^(cov|shape)", r"\g<1>0", str(err))) from None
         object.__setattr__(self, "model", model)
+        object.__setattr__(self, "initial_belief", belief)
 
     def __eq__(self, other):
-        """Field by field, arrays by value; the derived ``model`` is not compared."""
+        """Field by field, arrays by value; the derived attributes are not compared."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(
@@ -439,13 +441,14 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0) -> Trial:
     """Run both filters over one seeded realization.
 
     Randomness comes from the substream (cfg.seed, trial), so trials are
-    independent and reproducible in any execution order.
+    independent and reproducible in any execution order. Both filters start
+    from ``cfg.initial_belief``, which the config has already checked.
     """
     rng = np.random.default_rng([cfg.seed, trial])
     states, measurements = simulate_truth(cfg, rng)
 
     fcfg = FilterConfig(eta=cfg.eta)
-    belief = StateBelief(cfg.x0, cfg.cov0, cfg.shape0, "posterior", 0)
+    belief = cfg.initial_belief
     # the EKF starts from the SKF's factor, so that at eta = 0 the tracks agree bit for bit
     ekf_x, ekf_factor = belief.center, belief.cov_factor
     dims = list(cfg.position_dims)

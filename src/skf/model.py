@@ -174,18 +174,16 @@ class Linearization:
     ``linearize_process`` fills the process part (the value f_value at the
     expansion point, f_x, f_w, f_a); ``linearize_measurement`` the
     measurement part (h_value, h_x, h_v, h_b). Each also carries the
-    step's noise matrices of its part, served once from the model's
-    fields, each with its factor beside it, so downstream algebra has
-    everything it needs in one place.
+    step's noise matrices of its part, served once from the model's fields:
+    the process part their factors only, which is all prediction uses, the
+    measurement part each matrix with its factor beside it.
     """
 
     f_value: np.ndarray | None = None
     f_x: np.ndarray | None = None
     f_w: np.ndarray | None = None
     f_a: tuple[np.ndarray, ...] = ()
-    process_noise_cov: np.ndarray | None = None
     process_noise_factor: np.ndarray | None = None
-    ubb_process_shapes: tuple[np.ndarray, ...] = ()
     ubb_process_factors: tuple[np.ndarray, ...] = ()
     h_value: np.ndarray | None = None
     h_x: np.ndarray | None = None
@@ -232,19 +230,18 @@ def linearize_process(
 
     Returns the process value at the expansion point, which must be
     finite, together with f_x, f_w, each f_a_i and the step's process
-    noise matrices; the zero disturbances are sized from those matrices.
+    noise factors; the zero disturbances are sized from those factors.
     """
     x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
     if x_center.size != m.state_dim:
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
     if np.size(u) != m.input_dim:
         raise ValueError(f"input has dimension {np.size(u)}, expected {m.input_dim}")
-    c_u, l_u = _serve_psd(m, "process_noise_cov", k)
+    _, l_u = _serve_psd(m, "process_noise_cov", k)
     names = [f"ubb_process_shapes[{i}]" for i in range(len(m.ubb_process_shapes))]
-    served = [_serve_psd(m, name, k) for name in names]
-    shapes = tuple(s for s, _ in served)
-    w0 = np.zeros(c_u.shape[0])
-    a0 = [np.zeros(s.shape[0]) for s in shapes]
+    factors = tuple(_serve_psd(m, name, k)[1] for name in names)
+    w0 = np.zeros(l_u.shape[0])
+    a0 = [np.zeros(f.shape[0]) for f in factors]
     f_value = _check_finite(m.f(x_center, u, w0, a0, k), "process value", k)
 
     jac = m.jacobians
@@ -257,18 +254,16 @@ def linearize_process(
         a[i] = ai
         return m.f(x_center, u, w0, a, k)
 
-    analytic_a = jac.f_a if jac.f_a is not None else (None,) * len(shapes)
-    f_a = [_jacobian(analytic_a[i], at, partial(f_of_a, i), a0[i]) for i in range(len(shapes))]
+    analytic_a = jac.f_a if jac.f_a is not None else (None,) * len(factors)
+    f_a = [_jacobian(analytic_a[i], at, partial(f_of_a, i), a0[i]) for i in range(len(factors))]
 
     return Linearization(
         f_value=f_value,
         f_x=f_x,
         f_w=f_w,
         f_a=tuple(f_a),
-        process_noise_cov=c_u,
         process_noise_factor=l_u,
-        ubb_process_shapes=shapes,
-        ubb_process_factors=tuple(factor for _, factor in served),
+        ubb_process_factors=factors,
     )
 
 

@@ -26,6 +26,19 @@ from skf.validation import (
 )
 
 
+def count_builds(monkeypatch):
+    """The configs that ``build_model`` is called with from now on, in a list."""
+    builds = []
+    original = skf.experiments.build_model
+
+    def counting(cfg):
+        builds.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(skf.experiments, "build_model", counting)
+    return builds
+
+
 def read_rows(path):
     with open(path) as fh:
         return list(csv.reader(fh))
@@ -106,6 +119,8 @@ class TestRunCommand:
         assert manifest["config"]["eta"] == 0.5
         assert manifest["csv_schema"] == 1
         assert set(manifest["outputs"]) == {"trials", "summary", "manifest"}
+        # the config's derived attributes are not fields, so they are not echoed
+        assert not {"model", "initial_belief"} & set(manifest["config"])
 
     def test_config_file_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -115,6 +130,32 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["steps"] == 4
         assert manifest["config"]["eta"] == 0.25
+
+    def test_flag_wins_over_config_file(self, tmp_path, monkeypatch):
+        builds = count_builds(monkeypatch)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"steps": 4, "trials": 1}))
+        out = tmp_path / "run"
+        args = ["example1", "--steps", "6", "--config", str(cfg_file)]
+        assert main(args + ["--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["steps"] == 6
+        assert len(builds) <= 3  # flags, file, flags again
+
+    def test_bad_config_value_is_checked_under_a_flag(self, tmp_path, capsys):
+        # the flag would replace the file's value, but the file's value is still checked
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"trials": 2.5}))
+        out = tmp_path / "bad"
+        args = ["example1", "--trials", "1", "--config", str(cfg_file), "--out", str(out)]
+        assert main(args) == 1
+        assert "trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_build_without_config_file(self, tmp_path, monkeypatch):
+        builds = count_builds(monkeypatch)
+        args = ["example1", "--trials", "3", "--eta", "0.5", "--seed", "11"]
+        assert main(args + ["--out", str(tmp_path / "run")]) == 0
+        assert len(builds) == 1
 
     @pytest.mark.parametrize(
         "key, value",
@@ -209,6 +250,9 @@ class TestRunCommand:
             ("sweep", "--scales", "nan"),
             ("sweep", "--scales", "1,inf"),
             ("example1", "--seed", "-1"),
+            # a repeated scale would run twice under one summary key
+            ("sweep", "--scales", "1,1"),
+            ("sweep", "--scales", "0,-0"),
         ],
     )
     def test_bad_flag_value_exits_2_before_output(self, tmp_path, capsys, command, flag, value):
@@ -216,7 +260,9 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             main([command, flag, value, "--out", str(out)])
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        # the usage text above the error line names every flag, so look in the error line only
+        (error,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert flag.lstrip("-") in error
         assert not out.exists()
 
     def test_missing_subcommand_exits_2(self):
@@ -280,13 +326,25 @@ class TestSweepCommand:
 
         monkeypatch.setattr(skf.experiments, "run_trial", counting)
         out = tmp_path / "sweep"
+        builds = count_builds(monkeypatch)
         args = ["sweep", "--trials", "1", "--steps", "20", "--scales", "0,1,10"]
         assert main(args + ["--out", str(out)]) == 0
         assert calls == [0, 0, 0]
+        assert len(builds) == 4  # the resolved config, then one per scale
         monkeypatch.undo()
         table = json.loads((out / "summary.json").read_text())["sweep_table"]
         expected = sensitivity_sweep(example2_config(trials=1, steps=20), [0.0, 1.0, 10.0])
         assert table == expected
+
+
+    def test_config_file_sets_sweep_trials(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"trials": 2}))
+        out = tmp_path / "sweep"
+        args = ["sweep", "--steps", "3", "--scales", "0,1", "--config", str(cfg_file)]
+        assert main(args + ["--out", str(out)]) == 0
+        per_scale = json.loads((out / "summary.json").read_text())["per_scale"]
+        assert [s["trials"] for s in per_scale.values()] == [2, 2]
 
 
 class TestWorkerEnv:
@@ -295,12 +353,13 @@ class TestWorkerEnv:
 
         monkeypatch.setenv("SKF_THREADS", "3")
         assert _workers() == 3
-        monkeypatch.setenv("SKF_THREADS", "junk")
-        with pytest.raises(SystemExit) as exc:
-            main(["example1", "--trials", "1", "--steps", "2", "--out", str(tmp_path / "bad")])
-        assert exc.value.code == 2
-        assert "SKF_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "bad").exists()
+        for bad in ("junk", "0", "-2"):
+            monkeypatch.setenv("SKF_THREADS", bad)
+            with pytest.raises(SystemExit) as exc:
+                main(["example1", "--trials", "1", "--steps", "2", "--out", str(tmp_path / "bad")])
+            assert exc.value.code == 2
+            assert "SKF_THREADS" in capsys.readouterr().err
+            assert not (tmp_path / "bad").exists()
         monkeypatch.delenv("SKF_THREADS")
         assert _workers() == 1
         monkeypatch.setenv("SKF_THREADS", "2")

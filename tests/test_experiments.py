@@ -108,6 +108,20 @@ class TestConfigs:
                 assert (a is None and b is None) or np.array_equal(a, b), name
 
     @pytest.mark.parametrize("make", [example1_config, example2_config])
+    def test_initial_belief_is_derived_from_the_fields(self, make):
+        cfg = make()
+        belief = cfg.initial_belief
+        assert "initial_belief" not in {f.name for f in dataclasses.fields(cfg)}
+        assert (belief.kind, belief.step) == ("posterior", 0)
+        assert np.array_equal(belief.center, cfg.x0)
+        assert np.array_equal(belief.cov, cfg.cov0) and np.array_equal(belief.shape, cfg.shape0)
+        copy = pickle.loads(pickle.dumps(cfg)).initial_belief
+        assert np.array_equal(copy.cov_factor, belief.cov_factor)
+        assert np.array_equal(copy.shape_factor, belief.shape_factor)
+        wider = dataclasses.replace(cfg, cov0=2.0 * cfg.cov0)
+        assert np.array_equal(wider.initial_belief.cov, 2.0 * belief.cov)
+
+    @pytest.mark.parametrize("make", [example1_config, example2_config])
     def test_equal_configs_compare_equal(self, make):
         cfg = make()
         assert cfg == make()
@@ -234,6 +248,26 @@ class TestRunTrial:
         assert np.linalg.eigvalsh(trial.skf_shape)[:, 0].min() >= 0.0
         assert np.linalg.eigvalsh(trial.skf_cov)[:, 0].min() > 0.0
         assert np.isfinite(np.linalg.norm(trial.skf_dist))
+
+    @pytest.mark.parametrize("make", [example1_config, example2_config])
+    def test_trial_checks_no_matrix(self, make, monkeypatch):
+        # the config checked the initial belief once; a trial decomposes and checks nothing
+        cfg = make(trials=1, steps=5)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        check = counted("belief", StateBelief.__post_init__)
+        monkeypatch.setattr(StateBelief, "__post_init__", check)
+        run_trial(cfg, 0)
+        assert calls == []
 
     def test_deterministic_records(self):
         cfg = example1_config(steps=10)
