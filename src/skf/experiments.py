@@ -118,13 +118,14 @@ class ExperimentConfig:
             raise ValueError("which 'example2' requires stations")
         if self.stations is not None and (len(self.stations) != 2 or len(set(self.stations)) < 2):
             raise ValueError(f"stations must be two distinct points, got {self.stations}")
-        named = [(n, getattr(self, n)) for n in ("process_cov", "meas_cov", "ubb_meas_shape")]
-        named += [(f"ubb_process_shapes[{i}]", s) for i, s in enumerate(self.ubb_process_shapes)]
-        for name, mat in named:  # as a stack of one, so that a stack given here fails
-            _check_psd(np.atleast_2d(mat)[None], names=name)
-        model = build_model(self)
+        try:  # the model checks each noise matrix; its messages take the config's field names
+            model = build_model(self)
+        except ValueError as err:
+            raise ValueError(re.sub(r"^(process|meas)_noise_cov", r"\1_cov", str(err))) from None
         if self.x0.shape != (model.state_dim,):
             raise ValueError(f"x0 must be a {model.state_dim}-vector, got shape {self.x0.shape}")
+        named = [(n, getattr(self, n)) for n in ("process_cov", "meas_cov", "ubb_meas_shape")]
+        named += [(f"ubb_process_shapes[{i}]", s) for i, s in enumerate(self.ubb_process_shapes)]
         for name, mat in named:
             dim = model.meas_dim if "meas" in name else model.state_dim
             if len(np.atleast_2d(mat)) != dim:

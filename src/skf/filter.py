@@ -20,18 +20,25 @@ search finds the zero of that slope, or the end of its bracket that the
 cost descends to, in a handful of evaluations; ``GainReport`` records
 which regime applied and how many evaluations it took.
 
+Before any search, two closed-form tests (``_kink_tests``) decide whether
+a limit regime is optimal: beta -> inf, the gain K = 0, or beta -> 0, the
+gain K0 = H_x^-1 of a square H_x. These are the kinks of the update cost
+with beta minimized out. A certified step takes the exact limit
+posterior and runs no search; every other step searches.
+
 The beta-independent products are formed once per update, in an
-``_UpdateContext``; every gain of the step comes from it. At eta = 0 the
-center and covariance recursions coincide exactly with the extended
-Kalman filter. ``FilterConfig`` carries eta alone, a real number in
-[0, 1]. The posterior shape is p T1 + q T2 at the gain's own inflation
-pair. A belief carries factors L_C, L_S of C = L_C L_C^T, S = L_S L_S^T;
-each new one comes from one QR, so a computed belief is PSD by
-construction and is not checked.
+``_UpdateContext``; every gain of the step, and both tests, come from it.
+At eta = 0 the center and covariance recursions coincide exactly with the
+extended Kalman filter. ``FilterConfig`` carries eta alone, a real number
+in [0, 1]. The posterior shape of a step that was not certified is
+p T1 + q T2 at the gain's own inflation pair. A belief carries factors
+L_C, L_S of C = L_C L_C^T, S = L_S L_S^T; each new one comes from one QR,
+so a computed belief is PSD by construction and is not checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Literal
@@ -48,7 +55,7 @@ from .model import (
     linearize_process,
     wrap_angles,
 )
-from .optimizer import OptimizerError, ScalarProblem, minimize_scalar
+from .optimizer import BRACKET, OptimizerError, ScalarProblem, minimize_scalar
 
 
 class SingularInnovationError(FilterError):
@@ -112,12 +119,17 @@ class GainReport:
     """Diagnostics of one update: gain, chosen beta, and final traces.
 
     ``regime`` says how beta was chosen: ``"interior"`` (a zero of the
-    cost's slope), ``"beta_to_zero"`` or ``"beta_to_inf"`` (the cost
-    descends to that end of the search bracket, which is returned),
+    cost's slope), ``"beta_to_zero"`` or ``"beta_to_inf"`` (a kink of the
+    cost, K H_x = I or K = 0, reported at that end of the search bracket),
     ``"eta_zero"`` (the cost does not depend on beta) or ``"single_set"``
     (at most one set term is live). ``evals`` counts the cost evaluations
-    of the search. ``gain`` is stationary for the inflation pair (p, q)
-    whose bound p T1 + q T2 is the posterior shape (see ``skf_update``).
+    of the search: 0 where a kink test certified its regime, whose gain is
+    then the limit gain itself; a limit regime the search found keeps its
+    gain at the bracket end. Otherwise ``gain`` is stationary for the
+    inflation pair (p, q) whose bound p T1 + q T2 is the posterior shape
+    (see ``skf_update``). ``kink_ratios`` holds left side / right side of
+    the beta -> inf and the beta -> 0 test of ``_kink_tests``, None where a
+    test did not run or its solve failed; a ratio of at most 1 certifies.
     """
 
     gain: np.ndarray
@@ -127,6 +139,7 @@ class GainReport:
     trace_shape: float
     regime: str
     evals: int
+    kink_ratios: tuple[float | None, float | None]
 
 
 def _computed_belief(center, l_c: np.ndarray, l_s: np.ndarray, kind: str, step: int):
@@ -168,7 +181,7 @@ def _solve_gain(cross: np.ndarray, bracket: np.ndarray, what: str, step: int) ->
         gain = np.linalg.solve(bracket, cross.T).T
     except np.linalg.LinAlgError:
         gain = None
-    if gain is None or not np.all(np.isfinite(gain)):
+    if gain is None or not np.isfinite(gain).all():
         if not np.all(np.isfinite(bracket)):
             raise SingularInnovationError(f"{what} is not finite", step)
         raise SingularInnovationError(
@@ -207,23 +220,26 @@ class _UpdateContext:
     """The beta-independent products of one update.
 
     Built once per update from the prior belief, the measurement
-    linearization and eta; every gain of the step comes from ``gain``.
+    linearization and eta; every gain of the step comes from ``gain``, or
+    from ``_kink_tests`` where a limit regime is certified.
     """
 
     def __init__(self, belief: StateBelief, lin: Linearization, eta: float):
         self.belief, self.lin, self.eta = belief, lin, eta
         h_x, h_v, h_b = lin.h_x, lin.h_v, lin.h_b
-        self.c_ht = belief.cov @ h_x.T
+        # the covariance parts, (1 - eta) C H_x^T and (1 - eta)(H_x C H_x^T + R)
+        self.cov_cross = (1.0 - eta) * (belief.cov @ h_x.T)
         self.s_ht = belief.shape @ h_x.T
-        self.meas_cov = h_x @ belief.cov @ h_x.T + h_v @ lin.meas_noise_cov @ h_v.T
+        self.meas_noise = h_v @ lin.meas_noise_cov @ h_v.T
+        self.cov_bracket = (1.0 - eta) * (h_x @ belief.cov @ h_x.T + self.meas_noise)
         self.meas_prior_shape = h_x @ belief.shape @ h_x.T
         self.meas_set_shape = h_b @ lin.meas_ubb_shape @ h_b.T
 
     def gain(self, p_prior: float, q_meas: float) -> np.ndarray:
         """Stationary gain for given inflation coefficients on the two set terms."""
         eta = self.eta
-        cross = (1.0 - eta) * self.c_ht + eta * p_prior * self.s_ht
-        bracket = (1.0 - eta) * self.meas_cov + eta * (
+        cross = self.cov_cross + eta * p_prior * self.s_ht
+        bracket = self.cov_bracket + eta * (
             p_prior * self.meas_prior_shape + q_meas * self.meas_set_shape
         )
         return _solve_gain(cross, bracket, "innovation-covariance bracket", self.belief.step)
@@ -273,16 +289,85 @@ def _beta_cost(ctx: _UpdateContext):
         ikh = eye - gain @ lin.h_x
         ikh_s = ikh @ belief.shape
         gain_b = gain @ lin.h_b
-        value = float(np.sum(ikh * cov_part)) + eta * (1.0 + 1.0 / beta) * float(
-            np.trace(ikh_s)
-        )
+        # ndarray methods, not np.sum and np.trace: the same reductions
+        # without their Python wrappers, which dominate small matrices
+        value = float((ikh * cov_part).sum()) + eta * (1.0 + 1.0 / beta) * float(ikh_s.trace())
         # Both traces are of PSD products; a rounding residue below zero
         # counts as zero.
-        tr_meas = max(float(np.sum((gain_b @ lin.meas_ubb_shape) * gain_b)), 0.0)
-        tr_prior = max(float(np.sum(ikh_s * ikh)), 0.0)
+        tr_meas = max(float(((gain_b @ lin.meas_ubb_shape) * gain_b).sum()), 0.0)
+        tr_prior = max(float((ikh_s * ikh).sum()), 0.0)
         return value, eta * beta * tr_meas, eta * tr_prior / beta
 
     return cost
+
+
+def _left_divide(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """a^-1 b for a square a, or a^-1 without b; a singular a raises ``LinAlgError``.
+
+    A 1 x 1 a is a division: ``np.linalg``'s call overhead dominates 1 x 1
+    steps.
+    """
+    if a.shape == (1, 1):
+        if a[0, 0] == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return (1.0 if b is None else b) / a
+    return np.linalg.inv(a) if b is None else np.linalg.solve(a, b)
+
+
+def _kink_ratio(factor: np.ndarray, rhs: np.ndarray, right: float) -> float | None:
+    """||factor^-1 rhs||_F^2 / right, or None where the solve fails or a side is not finite."""
+    try:
+        solved = _left_divide(factor, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    left = float(np.vdot(solved, solved))
+    if not (math.isfinite(left) and 0.0 < right < math.inf):
+        return None
+    return left / right
+
+
+def _kink_tests(ctx: _UpdateContext, tr_shape: float):
+    """Closed-form optimality tests of the update cost's two kinks, for eta > 0.
+
+    Minimizing the pair bound over beta leaves, for a gain K,
+    J*(K) = (1 - eta) tr C+(K) + eta (a + b)^2, with a = ||(I - K H_x) L_S||_F
+    and b = ||K L_N||_F, where N = H_b S_z H_b^T = L_N L_N^T. J* is convex;
+    beta -> inf is its kink at K = 0 and beta -> 0 its kink at K H_x = I.
+    The subgradient condition 0 in dJ* gives, with
+    G = ((1 - eta) C + eta S) H_x^T and M = (1 - eta) H_v C_z H_v^T + eta N:
+
+    * K = 0 is optimal if ||L_N^-1 G^T||_F^2 <= eta^2 tr S;
+    * for square H_x, K0 = H_x^-1 is optimal if
+      ||L_S^-1 K0 M K0^T||_F^2 <= eta^2 ||K0 L_N||_F^2.
+
+    Returns ``(regime, gain, ratios)``: the certified regime and its exact
+    gain, or (None, None), and left side / right side of each test (a ratio
+    of at most 1 certifies), None where the test did not run or its solve
+    failed. Every side is a squared norm, so a singular L_N, H_x or L_S can
+    fail a test but never pass one. A tall or singular H_x leaves beta -> 0
+    to the search.
+    """
+    eta, belief, lin = ctx.eta, ctx.belief, ctx.lin
+    l_n = lin.h_b @ lin.meas_ubb_factor
+    if l_n.shape[0] != l_n.shape[1]:
+        l_n = _qr_factor(l_n)
+    cross = ctx.cov_cross + eta * ctx.s_ht
+    to_inf = _kink_ratio(l_n, cross.T, eta * eta * tr_shape)
+    if to_inf is not None and to_inf <= 1.0:
+        return "beta_to_inf", np.zeros_like(cross), (to_inf, None)
+    h_x = lin.h_x
+    if h_x.shape[0] != h_x.shape[1]:
+        return None, None, (to_inf, None)
+    try:
+        k0 = _left_divide(h_x)
+    except np.linalg.LinAlgError:
+        return None, None, (to_inf, None)
+    k0_ln = k0 @ l_n
+    p_mat = k0 @ ((1.0 - eta) * ctx.meas_noise + eta * ctx.meas_set_shape) @ k0.T
+    to_zero = _kink_ratio(belief.shape_factor, p_mat, eta * eta * float(np.vdot(k0_ln, k0_ln)))
+    if to_zero is not None and to_zero <= 1.0:
+        return "beta_to_zero", k0, (to_inf, to_zero)
+    return None, None, (to_inf, to_zero)
 
 
 _LIMIT_REGIMES = {"lower": "beta_to_zero", "upper": "beta_to_inf"}
@@ -293,12 +378,20 @@ def skf_update(
 ) -> tuple[StateBelief, GainReport]:
     """Fold a measurement into a prior belief.
 
-    One inflation pair (p, q) gives the gain, ``ctx.gain(p, q)``, and the
-    posterior shape p T1 + q T2: (1 + 1/beta, 1 + beta) with both set terms
-    live, beta minimizing J(beta) or, at eta = 0, where J does not depend
-    on it, 1 by convention. A limit regime keeps its bracket end. A set
-    term of (essentially) zero trace is a point: it takes 0, a live term
-    1, and beta = 1 is reported.
+    With both set terms live and eta > 0, ``_kink_tests`` first decides in
+    closed form whether a kink of the cost is optimal; such a step takes
+    its exact posterior and runs no search. At beta -> inf the gain is 0
+    and the posterior is the prior. At beta -> 0 the gain is K0 = H_x^-1,
+    the covariance the Joseph form at K0 and the shape the trace-minimal
+    bound of its two terms, (I - K0 H_x) L_S, at rounding level, and
+    K0 H_b L_Sz. Either reports its bracket end as beta.
+
+    Otherwise one inflation pair (p, q) gives the gain, ``ctx.gain(p, q)``,
+    and the posterior shape p T1 + q T2: (1 + 1/beta, 1 + beta) with both
+    set terms live, beta minimizing J(beta) or, at eta = 0, where J does
+    not depend on it, 1 by convention. A limit regime the tests did not
+    certify keeps its bracket end. A set term of (essentially) zero trace
+    is a point: it takes 0, a live term 1, and beta = 1 is reported.
     """
     if belief.kind != "prior":
         raise ValueError("update starts from a prior belief")
@@ -311,38 +404,54 @@ def skf_update(
 
     # A point set term must not inflate the gain, or the beta search would
     # chase an inflation factor of 1 toward the bracket boundary.
-    prior_set_live = float(np.trace(belief.shape)) > EPS_TRACE
+    tr_shape = float(np.trace(belief.shape))
+    prior_set_live = tr_shape > EPS_TRACE
     meas_set_live = float(np.trace(ctx.meas_set_shape)) > EPS_TRACE
     beta_star = 1.0
     evals = 0
+    gain = None
+    ratios = (None, None)
     if eta == 0.0:
         # Cost independent of beta: the gain is exactly the EKF gain.
         regime = "eta_zero"
     elif prior_set_live and meas_set_live:
-        problem = ScalarProblem(objective=_beta_cost(ctx))
-        try:
-            beta_star, _, evals, end = minimize_scalar(problem)
-        except OptimizerError as err:
-            raise FilterError(
-                f"beta search failed on bracket {problem.bracket}: {err}", k
-            ) from err
-        regime = _LIMIT_REGIMES.get(end, end)
+        regime, gain, ratios = _kink_tests(ctx, tr_shape)
+        if gain is not None:
+            beta_star = math.exp(BRACKET[0] if regime == "beta_to_zero" else BRACKET[1])
+        else:
+            problem = ScalarProblem(objective=_beta_cost(ctx))
+            try:
+                beta_star, _, evals, end = minimize_scalar(problem)
+            except OptimizerError as err:
+                raise FilterError(
+                    f"beta search failed on bracket {problem.bracket}: {err}", k
+                ) from err
+            regime = _LIMIT_REGIMES.get(end, end)
     else:
         # A point term adds nothing to the sum: 0 for it, 1 for a live term.
         regime = "single_set"
-    if prior_set_live and meas_set_live:
-        p_prior, q_meas = 1.0 + 1.0 / beta_star, 1.0 + beta_star
-    else:
-        p_prior, q_meas = float(prior_set_live), float(meas_set_live)
-    gain = ctx.gain(p_prior, q_meas)
+    certified = gain is not None
+    if not certified:
+        if prior_set_live and meas_set_live:
+            p_prior, q_meas = 1.0 + 1.0 / beta_star, 1.0 + beta_star
+        else:
+            p_prior, q_meas = float(prior_set_live), float(meas_set_live)
+        gain = ctx.gain(p_prior, q_meas)
     innovation = wrap_angles(y - lin.h_value, m.angular_mask)
     center = belief.center + gain @ innovation
     if not np.all(np.isfinite(center)):
         raise FilterError(f"updated center is not finite: {center}", k)
 
-    cov_factor, t_prior, t_meas = _update_terms(belief, lin, gain)
-    shape_factor = _qr_factor(np.sqrt(p_prior) * t_prior, np.sqrt(q_meas) * t_meas)
-    posterior = _computed_belief(center, cov_factor, shape_factor, "posterior", k)
+    if certified and regime == "beta_to_inf":
+        posterior = object.__new__(StateBelief)
+        posterior.__dict__.update(vars(belief), center=center, kind="posterior", step=k)
+    else:
+        cov_factor, t_prior, t_meas = _update_terms(belief, lin, gain)
+        if certified:
+            shape_factor = trace_min_sum([t_prior, t_meas])
+        else:
+            shape_factor = _qr_factor(np.sqrt(p_prior) * t_prior, np.sqrt(q_meas) * t_meas)
+        posterior = _computed_belief(center, cov_factor, shape_factor, "posterior", k)
     trace_cov = float(np.trace(posterior.cov))
     trace_shape = float(np.trace(posterior.shape))
     report = GainReport(
@@ -353,6 +462,7 @@ def skf_update(
         trace_shape=trace_shape,
         regime=regime,
         evals=evals,
+        kink_ratios=ratios,
     )
     return posterior, report
 

@@ -45,6 +45,7 @@ TOL = 1e-8  # accuracy of the minimizer in t = log(beta)
 MAX_ITERS = 200  # evaluations of the search between the bracket ends
 MAX_EXPANSIONS = 5
 T_LIMIT = 700.0  # exp(t) stays within double range
+BRACKET = (-20.0, 20.0)  # the default search bracket, in t = log(beta)
 
 
 class OptimizerError(RuntimeError):
@@ -62,7 +63,7 @@ class ScalarProblem:
     """
 
     objective: Callable[[float], tuple[float, float, float]]
-    bracket: tuple[float, float] = (-20.0, 20.0)
+    bracket: tuple[float, float] = BRACKET
 
     def __post_init__(self):
         lo, hi = self.bracket

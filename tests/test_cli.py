@@ -17,7 +17,6 @@ from skf.experiments import (
     scaled_config,
     sensitivity_sweep,
 )
-from skf.ellipsoid import EPS_TRACE
 from skf.validation import (
     check_eta_zero_reduction,
     check_gain_stationarity,
@@ -393,19 +392,27 @@ class TestValidateCommand:
         monkeypatch.setattr(skf.filter, "trace_min_sum", corrupted)
         assert not check_recursion_containment().passed
 
-    def test_dropped_point_term_is_caught(self, monkeypatch):
-        # intentional fault: drop T1's block B1 (T1 = B1 B1^T) when its bare trace
-        # is a point's, although it enters the bound as (1 + 1/beta) T1 with
-        # 1/beta up to e^20
-        original = skf.filter._update_terms
+    def test_halved_limit_measurement_block_is_caught(self, monkeypatch):
+        # intentional fault: halve the measurement-set block K0 H_b L_Sz of a
+        # certified beta -> 0 posterior; those are the only updates that call
+        # trace_min_sum, so it is halved only inside skf_update
+        update, bound = skf.validation.skf_update, skf.filter.trace_min_sum
+        updating = []
 
-        def dropping(belief, lin, gain):
-            cov_factor, t_prior, t_meas = original(belief, lin, gain)
-            if float(np.sum(t_prior * t_prior)) <= EPS_TRACE:
-                t_prior = np.zeros_like(t_prior)
-            return cov_factor, t_prior, t_meas
+        def flagged_update(*args):
+            updating.append(True)
+            try:
+                return update(*args)
+            finally:
+                updating.pop()
 
-        monkeypatch.setattr(skf.filter, "_update_terms", dropping)
+        def halving(factors):
+            if updating:
+                factors = [*factors[:-1], 0.5 * factors[-1]]
+            return bound(factors)
+
+        monkeypatch.setattr(skf.validation, "skf_update", flagged_update)
+        monkeypatch.setattr(skf.filter, "trace_min_sum", halving)
         assert not check_recursion_containment().passed
 
     def test_failure_exits_1(self, monkeypatch):

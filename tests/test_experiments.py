@@ -269,6 +269,22 @@ class TestRunTrial:
         run_trial(cfg, 0)
         assert calls == []
 
+    @pytest.mark.parametrize("make", [example1_config, example2_config])
+    def test_config_build_decomposes_each_matrix_once(self, make, monkeypatch):
+        # one eigh for each of the four noise matrices, inside the model's
+        # check, and one for the (cov0, shape0) stack of the initial belief
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        cfg = make(trials=1, steps=5)
+        n = cfg.model.state_dim
+        assert sorted(calls) == sorted([(1, n, n)] * 4 + [(2, n, n)])
+
     def test_deterministic_records(self):
         cfg = example1_config(steps=10)
         a = run_trial(cfg, 3)

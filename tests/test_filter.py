@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from skf.ellipsoid import EPS_TRACE
 from skf.experiments import (
     build_model,
     example1_config,
@@ -25,7 +26,9 @@ from skf.filter import (
     NumericsError,
     SingularInnovationError,
     StateBelief,
+    _kink_tests,
     _update_terms,
+    _UpdateContext,
     ekf_step,
     skf_gain,
     skf_predict,
@@ -272,19 +275,16 @@ class TestUpdate:
 
     def test_eta_one_tiny_measurement_set(self):
         # with a nearly point measurement set the gain collapses to the
-        # shape-only pseudo gain and the posterior shape follows the pair
-        # formula at the chosen beta
+        # shape-only pseudo gain K0 = H_x^-1, certified as the beta -> 0
+        # kink, and the posterior shape is the measurement set mapped by K0
         m = scalar_model(sz=1e-9)
         prior = StateBelief([0.0], [[1.0]], [[1.0]], "prior", 1)
         post, report = skf_update(prior, np.array([0.5]), m, FilterConfig(eta=1.0), 1)
+        assert report.regime == "beta_to_zero"
         gain = report.gain[0, 0]
         assert gain == pytest.approx(1.0, abs=1e-6)  # S H^T (H S H^T)^{-1}
-        # the bound is the pair p (1 - K)^2 S + q K^2 S_z at the report's beta;
         # abs=0, since the default abs=1e-12 is a 1e-3 tolerance on this value
-        beta = report.beta_star
-        p, q = 1 + 1 / beta, 1 + beta
-        expected = p * (1 - gain) ** 2 * 1.0 + q * gain**2 * 1e-9
-        assert post.shape[0, 0] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert post.shape[0, 0] == pytest.approx(gain**2 * 1e-9, rel=1e-12, abs=0)
         assert post.shape[0, 0] < 1e-7  # squeezed to the measurement-set scale
 
     def test_local_minimality_of_report(self):
@@ -375,11 +375,25 @@ class TestUpdate:
     @pytest.mark.parametrize("regime", sorted(REGIME_SETUPS))
     def test_posterior_shape_formula(self, regime):
         # one inflation pair serves the gain and the shape: p T1 + q T2 with
-        # (1 + 1/beta, 1 + beta) when both set terms are live, else 1 or 0
+        # (1 + 1/beta, 1 + beta) when both set terms are live, else 1 or 0;
+        # a certified kink takes its limit instead: at beta -> inf the prior
+        # itself, at beta -> 0 the trace-minimal pair at K0 = 1/h
         cov, shape, eta, sz = REGIME_SETUPS[regime]
         prior = StateBelief([0.0], [[cov]], [[shape]], "prior", 1)
         post, report = skf_update(prior, np.array([1.0]), scalar_model(sz=sz), FilterConfig(eta), 1)
         assert report.regime == regime
+        if regime == "beta_to_inf":
+            for name in ("center", "cov", "shape", "cov_factor", "shape_factor"):
+                assert np.array_equal(getattr(post, name), getattr(prior, name))
+            return
+        if regime == "beta_to_zero":
+            k = report.gain[0, 0]
+            t_prior, t_meas = (1 - k) ** 2 * shape, k**2 * sz
+            expected = (np.sqrt(t_prior) + np.sqrt(t_meas)) ** 2
+            if t_prior <= EPS_TRACE:  # a point term adds nothing
+                expected = t_meas
+            assert post.shape[0, 0] == pytest.approx(expected, rel=1e-12)
+            return
         beta = report.beta_star
         p, q = (1.0, 0.0) if regime == "single_set" else (1 + 1 / beta, 1 + beta)
         k = report.gain[0, 0]
@@ -432,18 +446,25 @@ class TestGainRegime:
         assert report.evals >= 3
 
     def test_beta_to_zero(self):
-        # a wide prior set against a tight measurement: trust the measurement
+        # a wide prior set against a tight measurement: trust the measurement,
+        # certified in closed form, with the exact limit gain 1/h
         report = self.update("beta_to_zero")
         assert report.regime == "beta_to_zero"
         assert report.beta_star == np.exp(-20.0)
-        assert report.evals == 2
+        assert report.evals == 0
+        h = linearize_measurement(scalar_model(), np.zeros(1), 1).h_x[0, 0]
+        assert report.gain[0, 0] == 1.0 / h
+        assert report.kink_ratios[1] <= 1.0
 
     def test_beta_to_inf(self):
-        # a tight prior set against a wide measurement set: ignore the set
+        # a tight prior set against a wide measurement set: ignore the set,
+        # certified in closed form, with the exact limit gain 0
         report = self.update("beta_to_inf")
         assert report.regime == "beta_to_inf"
         assert report.beta_star == np.exp(20.0)
-        assert report.evals == 2
+        assert report.evals == 0
+        assert report.gain[0, 0] == 0.0
+        assert report.kink_ratios[0] <= 1.0 and report.kink_ratios[1] is None
 
     def test_eta_zero(self):
         report = self.update("eta_zero")
@@ -452,6 +473,58 @@ class TestGainRegime:
     def test_single_set(self):
         report = self.update("single_set")
         assert (report.regime, report.evals, report.beta_star) == ("single_set", 0, 1.0)
+
+
+class TestKinkTests:
+    """The closed-form kink tests on inputs the properties do not draw:
+    example2's observation map and a wide H_b."""
+
+    def context(self, h_b, shape_scale, eta):
+        cfg = example2_config(trials=1)
+        center = np.array([10.0, 20.0, 1.0, 1.0])
+        prior = StateBelief(center, 1e-8 * np.eye(4), shape_scale * np.eye(4), "prior", 1)
+        lin = dataclasses.replace(linearize_measurement(cfg.model, center, 1), h_b=h_b)
+        return _UpdateContext(prior, lin, eta)
+
+    def test_example2_map_with_full_rank_h_b_certifies_beta_to_inf(self):
+        # control for the test below: a tight prior set is ignored, K = 0
+        ctx = self.context(np.eye(4), 1e-6, 0.5)
+        assert not ctx.lin.h_x[:, 2:].any()  # velocities are unobserved
+        regime, gain, (to_inf, to_zero) = _kink_tests(ctx, 4e-6)
+        assert (regime, to_zero) == ("beta_to_inf", None)
+        assert to_inf <= 1.0 and not gain.any()
+
+    def test_wide_h_b_takes_the_square_factor_of_n(self):
+        # H_b L_Sz is 1 x 2 here: both tests use the 1 x 1 factor of
+        # N = H_b S_z H_b^T = 2, and read as they do with a 1 x 1 H_b
+        prior = StateBelief([0.0], [[0.01]], [[100.0]], "prior", 1)
+        ratios = []
+        for h_b, s_z in (([[1.0, 2.0]], [1.0, 0.25]), ([[1.0]], [2.0])):
+            lin = factored_linearization(
+                h_x=np.eye(1), h_v=np.eye(1), h_b=np.array(h_b),
+                meas_noise_cov=np.eye(1), meas_ubb_shape=np.diag(s_z),
+            )
+            regime, _, pair = _kink_tests(_UpdateContext(prior, lin, 0.5), 100.0)
+            assert regime == "beta_to_zero"
+            ratios.append(pair)
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-14)
+        assert ratios[1] == pytest.approx(((0.005 + 50.0) ** 2 / 2.0 / 25.0, 1.5**2 / 100.0 / 0.5))
+
+    @pytest.mark.parametrize("rank_deficient", ["zero_row", "product"])
+    def test_example2_map_and_rank_deficient_h_b_never_certify(self, rank_deficient):
+        # singular H_x (zero velocity columns) leaves beta -> 0 untested, and a
+        # singular N = H_b S_z H_b^T fails the beta -> inf test
+        rng = np.random.default_rng(5)
+        if rank_deficient == "zero_row":
+            h_b = np.diag([1.0, 1.0, 1.0, 0.0])
+        else:
+            h_b = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 4))
+        for shape_scale in (1e-9, 1e-6, 1e-3, 1.0, 1e2):
+            for eta in (0.1, 0.5, 0.9, 1.0):
+                ctx = self.context(h_b, shape_scale, eta)
+                regime, gain, (to_inf, to_zero) = _kink_tests(ctx, 4 * shape_scale)
+                assert (regime, gain, to_zero) == (None, None, None)
+                assert to_inf is None or to_inf > 1.0
 
 
 class TestModelEvaluations:

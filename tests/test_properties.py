@@ -1,5 +1,6 @@
 """Property tests for the Minkowski-sum bound, the matrix rule and its
-factor, the beta search and the set guarantee of the whole recursion.
+factor, the beta search, the update's kink tests and the set guarantee of
+the whole recursion.
 
 Inputs span dimensions 1-5, scales 1e-6 to 1e6 and rank-deficient
 terms (set terms of the sum; observation maps of the update). Runs are
@@ -27,8 +28,10 @@ from skf.ellipsoid import (
     trace_min_sum,
 )
 from skf.filter import (
+    _LIMIT_REGIMES,
     FilterConfig,
     StateBelief,
+    _kink_tests,
     _UpdateContext,
     _beta_cost,
     _update_terms,
@@ -251,16 +254,13 @@ NONZERO = st.tuples(st.sampled_from([-1.0, 1.0]), log_uniform(0.1, 10.0)).map(
 )
 
 
-@PROPERTY
-@given(
-    st.tuples(*[log_uniform(1e-3, 1e3)] * 4),
-    st.tuples(NONZERO, NONZERO, NONZERO),
-    st.floats(0.01, 0.99),
-)
-def test_scalar_search_meets_closed_form(spreads, maps, eta):
-    # For n = m = 1, sqrt(up/down) = |h_x| sqrt(N/S) (A beta + eta S)/(B + eta N beta)
-    # with A = (1-eta) C + eta S, B = (1-eta) R + eta N, R = h_v^2 C_z and
-    # N = h_b^2 S_z: a linear-fractional function of beta with one zero.
+def scalar_update(spreads, maps, eta):
+    """A scalar update's context and the closed-form zero beta* of its slope.
+
+    For n = m = 1, sqrt(up/down) = |h_x| sqrt(N/S) (A beta + eta S)/(B + eta N beta)
+    with A = (1-eta) C + eta S, B = (1-eta) R + eta N, R = h_v^2 C_z and
+    N = h_b^2 S_z: a linear-fractional function of beta with one zero.
+    """
     c, s, c_z, s_z = spreads
     h_x, h_v, h_b = maps
     r, n = h_v**2 * c_z, h_b**2 * s_z
@@ -269,20 +269,122 @@ def test_scalar_search_meets_closed_form(spreads, maps, eta):
     beta_star = (b - eta * abs(h_x) * np.sqrt(n * s)) / (k * a - eta * n)
 
     belief = StateBelief([0.0], [[c]], [[s]], "prior", 1)
-    lin = Linearization(
+    lin = factored_linearization(
         h_x=np.array([[h_x]]),
         h_v=np.array([[h_v]]),
         h_b=np.array([[h_b]]),
         meas_noise_cov=np.array([[c_z]]),
         meas_ubb_shape=np.array([[s_z]]),
     )
-    result = minimize_scalar(ScalarProblem(objective=_beta_cost(_UpdateContext(belief, lin, eta))))
+    return _UpdateContext(belief, lin, eta), beta_star
+
+
+SCALAR_INPUTS = (
+    st.tuples(*[log_uniform(1e-3, 1e3)] * 4),
+    st.tuples(NONZERO, NONZERO, NONZERO),
+    st.floats(0.01, 0.99),
+)
+
+
+@PROPERTY
+@given(*SCALAR_INPUTS)
+def test_scalar_search_meets_closed_form(spreads, maps, eta):
+    ctx, beta_star = scalar_update(spreads, maps, eta)
+    result = minimize_scalar(ScalarProblem(objective=_beta_cost(ctx)))
     if beta_star > 0 and -20.0 < np.log(beta_star) < 20.0:
         assert result.regime == "interior"
         assert abs(np.log(result.beta) - np.log(beta_star)) <= 1e-6
         assert result.evals <= 9
     else:
         assert result.regime in ("lower", "upper")
+
+
+# --- kink tests ------------------------------------------------------------
+
+
+@st.composite
+def square_problems(draw):
+    """An update with square h_x (n = m = 1-4), positive definite covariances
+    and shapes, both set terms live, and its context. Every matrix has the
+    scale 1e-6 .. 1e6 of the problem, the two shapes each a factor of
+    1e-3 .. 1e3 beyond it, so both kinks occur."""
+    n = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+
+    def spd(spread=0.0):
+        factor = draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+        return scale * 10.0**spread * symmetrize(factor @ factor.T + 0.1 * np.eye(n))
+
+    def square():
+        return draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))) + np.eye(n)
+
+    spreads = st.sampled_from([-3.0, -1.5, 0.0, 1.5, 3.0])
+    belief = StateBelief(np.zeros(n), spd(), spd(draw(spreads)), "prior", 1)
+    lin = factored_linearization(
+        h_x=square(),
+        h_v=np.eye(n),
+        h_b=square(),
+        meas_noise_cov=spd(),
+        meas_ubb_shape=spd(draw(spreads)),
+    )
+    eta = draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
+    return belief, lin, eta, _UpdateContext(belief, lin, eta)
+
+
+def certify(ctx):
+    return _kink_tests(ctx, float(np.trace(ctx.belief.shape)))
+
+
+def reduced_cost(belief, lin, eta, gain):
+    """J*(K) = (1 - eta) tr C+(K) + eta (||(I - K H_x) L_S||_F + ||K H_b L_Sz||_F)^2."""
+    cov_factor, t_prior, t_meas = _update_terms(belief, lin, gain)
+    a, b = np.linalg.norm(t_prior), np.linalg.norm(t_meas)
+    return (1 - eta) * float(np.sum(cov_factor * cov_factor)) + eta * (a + b) ** 2
+
+
+@PROPERTY
+@given(square_problems())
+def test_kink_tests_agree_with_the_search(problem):
+    # a certified regime is the one the search ends in; an uncertified square
+    # problem has an interior minimizer, and the search finds it
+    _, _, _, ctx = problem
+    regime, gain, ratios = certify(ctx)
+    result = minimize_scalar(ScalarProblem(objective=_beta_cost(ctx)))
+    if regime is None:
+        assert result.regime == "interior"
+        assert all(r is None or r > 1.0 for r in ratios)
+    else:
+        assert _LIMIT_REGIMES[result.regime] == regime
+        assert min(r for r in ratios if r is not None) <= 1.0
+
+
+@PROPERTY
+@given(square_problems(), st.integers(0, 2**32 - 1))
+def test_certified_gain_minimizes_the_reduced_cost(problem, seed):
+    # the certificate: J* at the certified limit gain is not above J* at any
+    # nearby gain, up to the rounding of J*
+    belief, lin, eta, ctx = problem
+    regime, gain, _ = certify(ctx)
+    assume(regime is not None)
+    at_kink = reduced_cost(belief, lin, eta, gain)
+    rng = np.random.default_rng(seed)
+    size = 1e-3 * max(1.0, float(np.max(np.abs(gain))))
+    for _ in range(20):
+        delta = size * rng.standard_normal(gain.shape) * 10.0 ** rng.uniform(-3.0, 0.0)
+        assert at_kink <= reduced_cost(belief, lin, eta, gain + delta) * (1.0 + 1e-12)
+
+
+@PROPERTY
+@given(*SCALAR_INPUTS)
+def test_scalar_kink_tests_certify_exactly_without_interior_zero(spreads, maps, eta):
+    # beta* of scalar_update is the only zero of the slope: the kink tests
+    # certify exactly where it is not a positive beta, with the search's regime
+    ctx, beta_star = scalar_update(spreads, maps, eta)
+    regime, _, _ = certify(ctx)
+    assert (regime is None) == (beta_star > 0)
+    if regime is not None:
+        result = minimize_scalar(ScalarProblem(objective=_beta_cost(ctx)))
+        assert _LIMIT_REGIMES[result.regime] == regime
 
 
 # --- recursion containment -------------------------------------------------
