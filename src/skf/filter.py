@@ -170,18 +170,33 @@ def _joseph_factor(ikh: np.ndarray, l_c: np.ndarray, gain, lin: Linearization) -
     return _qr_factor(ikh @ l_c, gain @ lin.h_v @ lin.meas_noise_factor)
 
 
-def _solve_gain(cross: np.ndarray, bracket: np.ndarray, what: str, step: int) -> np.ndarray:
-    """``cross B^-1`` by a linear solve against the symmetrized bracket B.
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """a^-1 b for a square a, or None where a is singular or the result is not finite.
 
-    A failed or non-finite solve raises ``SingularInnovationError`` that
-    names the bracket by ``what``, with its condition number if finite.
+    A nonzero 1 x 1 a is a division, without ``np.linalg``'s call overhead,
+    which dominates 1 x 1 steps; for a one-column b it equals LAPACK's
+    quotient bit for bit. Like ``np.linalg.solve``, it overflows quietly.
+    """
+    if a.shape == (1, 1) and a[0, 0] != 0.0:
+        with np.errstate(all="ignore"):
+            x = b / a
+    else:
+        try:
+            x = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            return None
+    return x if np.isfinite(x).all() else None
+
+
+def _solve_gain(cross: np.ndarray, bracket: np.ndarray, what: str, step: int) -> np.ndarray:
+    """``cross B^-1`` by ``_solve`` against the symmetrized bracket B.
+
+    A singular bracket or a non-finite gain raises ``SingularInnovationError``
+    that names the bracket by ``what``, with its condition number if finite.
     """
     bracket = symmetrize(bracket)
-    try:
-        gain = np.linalg.solve(bracket, cross.T).T
-    except np.linalg.LinAlgError:
-        gain = None
-    if gain is None or not np.isfinite(gain).all():
+    gain_t = _solve(bracket, cross.T)
+    if gain_t is None:
         if not np.all(np.isfinite(bracket)):
             raise SingularInnovationError(f"{what} is not finite", step)
         raise SingularInnovationError(
@@ -189,7 +204,7 @@ def _solve_gain(cross: np.ndarray, bracket: np.ndarray, what: str, step: int) ->
             f"(condition number {np.linalg.cond(bracket):.3e})",
             step,
         )
-    return gain
+    return gain_t.T
 
 
 def skf_predict(
@@ -301,29 +316,13 @@ def _beta_cost(ctx: _UpdateContext):
     return cost
 
 
-def _left_divide(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """a^-1 b for a square a, or a^-1 without b; a singular a raises ``LinAlgError``.
-
-    A 1 x 1 a is a division: ``np.linalg``'s call overhead dominates 1 x 1
-    steps.
-    """
-    if a.shape == (1, 1):
-        if a[0, 0] == 0.0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return (1.0 if b is None else b) / a
-    return np.linalg.inv(a) if b is None else np.linalg.solve(a, b)
-
-
 def _kink_ratio(factor: np.ndarray, rhs: np.ndarray, right: float) -> float | None:
-    """||factor^-1 rhs||_F^2 / right, or None where the solve fails or a side is not finite."""
-    try:
-        solved = _left_divide(factor, rhs)
-    except np.linalg.LinAlgError:
+    """||factor^-1 rhs||_F^2 / right, or None where ``_solve`` fails or a side is not finite."""
+    solved = _solve(factor, rhs)
+    if solved is None or not 0.0 < right < math.inf:
         return None
     left = float(np.vdot(solved, solved))
-    if not (math.isfinite(left) and 0.0 < right < math.inf):
-        return None
-    return left / right
+    return left / right if math.isfinite(left) else None
 
 
 def _kink_tests(ctx: _UpdateContext, tr_shape: float):
@@ -358,9 +357,8 @@ def _kink_tests(ctx: _UpdateContext, tr_shape: float):
     h_x = lin.h_x
     if h_x.shape[0] != h_x.shape[1]:
         return None, None, (to_inf, None)
-    try:
-        k0 = _left_divide(h_x)
-    except np.linalg.LinAlgError:
+    k0 = _solve(h_x, np.eye(h_x.shape[0]))
+    if k0 is None:
         return None, None, (to_inf, None)
     k0_ln = k0 @ l_n
     p_mat = k0 @ ((1.0 - eta) * ctx.meas_noise + eta * ctx.meas_set_shape) @ k0.T

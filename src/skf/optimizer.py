@@ -14,18 +14,18 @@ interior minimizer is a zero of G(t) = log(up) - log(down):
   Each later step fits exp(G/2) = sqrt(up/down) as (a beta + b)/(c beta + 1)
   through the last three evaluated points and proposes its zero (Jarratt
   and Nudds, Comput. J. 8(1), 1965); where that zero is undefined or leaves
-  the bracket, a secant step on G, and then bisection on the sign of
-  up - down, take its place (Brent, *Algorithms for Minimization without
-  Derivatives*, 1973). A proposed step within ``TOL`` of the current point
-  ends the search, also where it falls just outside the bracket.
+  the bracket, bisection on the sign of up - down takes its place (Brent,
+  *Algorithms for Minimization without Derivatives*, 1973). A proposed
+  step within ``TOL`` of the current point ends the search, also where it
+  falls just outside the bracket.
 
 For a scalar measurement the fit is exact: sqrt(up/down) =
 |h_x| sqrt(N/S) (A beta + eta S)/(B + eta N beta), with
 A = (1 - eta) C + eta S, B = (1 - eta) R + eta N, R = h_v^2 C_z and
-N = h_b^2 S_z. G is flat in both tails, where secant steps on G crawl
-but the fit still lands on the zero. On example1 an interior search takes
-5 to 7 evaluations, the two ends included (8 to 16 with secant steps
-alone); on example2 it takes 5 to 8.
+N = h_b^2 S_z. G is flat in both tails, where a step on G alone would
+crawl, but the fit still lands on the zero. On example1 an interior
+search takes 5 to 7 evaluations, the two ends included; on example2 it
+takes 5 to 8.
 
 An end whose slope sign the values contradict (a slope at rounding level
 pointing the wrong way) does not settle the regime; the interior search
@@ -111,21 +111,15 @@ def _log_ratio(p: _Point) -> float | None:
     return None
 
 
-def _secant(prev: _Point | None, cur: _Point) -> float | None:
-    """Secant step on G through prev and cur, or None where G is undefined.
+def _fixed_point(p: _Point) -> float | None:
+    """The fixed-point step t - G/2, or None where G is undefined.
 
-    Without ``prev`` the step assumes dG/dt = 2, its value when both traces
-    are locally constant: that is the fixed-point step t - G/2.
+    It is the secant step on G for dG/dt = 2, its value when both traces
+    are locally constant; the search takes it from one end, before it has
+    three points to fit.
     """
-    g_cur = _log_ratio(cur)
-    if g_cur is None:
-        return None
-    if prev is None:
-        return cur.t - 0.5 * g_cur
-    g_prev = _log_ratio(prev)
-    if g_prev is None or g_prev == g_cur:
-        return None
-    return cur.t - g_cur * (cur.t - prev.t) / (g_cur - g_prev)
+    g = _log_ratio(p)
+    return None if g is None else p.t - 0.5 * g
 
 
 def _linear_fractional(p1: _Point, p2: _Point, p3: _Point) -> float | None:
@@ -158,36 +152,33 @@ def _root(objective, lo: _Point, hi: _Point):
     """Zero of the slope between lo and hi, taken as slope < 0 and slope > 0.
 
     Starts from the end with the larger |G|: its fixed-point step moves
-    furthest. After it, each step tries the linear-fractional zero through
-    the last three evaluated points (lo and hi count, in that order), then
-    the secant step on G; a step within ``TOL`` of the current point ends
-    the search, and one that leaves the bracket, or that G cannot take,
-    gives way to the next, and finally to bisection. Returns
-    ``(t, last evaluated point, evaluations)``.
+    furthest. After it, each step is the linear-fractional zero through the
+    last three evaluated points (lo and hi count, in that order). A step
+    within ``TOL`` of the current point ends the search; one that leaves
+    the bracket, or that the fit cannot take, gives way to bisection.
+    Returns ``(t, last evaluated point, evaluations)``.
     """
     a, b = lo, hi
     ends = [p for p in (a, b) if _log_ratio(p) is not None]
     cur = max(ends, key=lambda p: abs(_log_ratio(p))) if ends else a
-    prev, last = None, (lo, hi)  # last: the evaluated points, in order
+    last = (lo, hi)  # the evaluated points, in order
     for evals in range(MAX_ITERS + 1):
         if b.t - a.t <= TOL:
             return 0.5 * (a.t + b.t), cur, evals
-        step = _linear_fractional(*last) if prev is not None else None
-        if step is None or not (a.t < step < b.t or abs(step - cur.t) <= TOL):
-            step = _secant(prev, cur)
+        step = _linear_fractional(*last) if evals > 0 else _fixed_point(cur)
         t = 0.5 * (a.t + b.t)
         if step is not None:
             inside = a.t < step < b.t
             # A point the search evaluated is a bracket end, so a step onto
             # it leaves the bracket; an initial end's slope can be at
             # rounding level, so its own step counts only inside.
-            if abs(step - cur.t) <= TOL and (inside or prev is not None):
+            if abs(step - cur.t) <= TOL and (inside or evals > 0):
                 return step, cur, evals
             if inside:
                 t = step
         if evals == MAX_ITERS:
             break
-        prev, cur = cur, _eval(objective, t)
+        cur = _eval(objective, t)
         last = (*last[-2:], cur)
         if cur.up == cur.down:
             return t, cur, evals + 1

@@ -27,6 +27,7 @@ from skf.filter import (
     SingularInnovationError,
     StateBelief,
     _kink_tests,
+    _solve,
     _update_terms,
     _UpdateContext,
     ekf_step,
@@ -217,7 +218,7 @@ class TestGain:
             meas_noise_cov=np.eye(1),
             meas_ubb_shape=np.eye(1),
         )
-        with pytest.raises(SingularInnovationError):
+        with pytest.raises(SingularInnovationError, match="singular or numerically deficient"):
             skf_gain(belief, lin, FilterConfig(eta=0.5), 1.0)
 
     def test_stationarity_by_finite_differences(self):
@@ -473,6 +474,41 @@ class TestGainRegime:
     def test_single_set(self):
         report = self.update("single_set")
         assert (report.regime, report.evals, report.beta_star) == ("single_set", 0, 1.0)
+
+
+class TestSolve:
+    """``_solve``, the one solve of the gains and the kink tests."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[0.0]], [[1.0, 2.0]]),  # a 1 x 1 zero
+            ([[1.0, 2.0], [2.0, 4.0]], np.eye(2)),  # a singular 2 x 2
+            ([[1e-300]], [[1e300]]),  # a quotient that overflows
+            ([[1e-300, 0.0], [0.0, 1.0]], [[1e300], [1.0]]),  # a solve that overflows
+            ([[2.0]], [[np.nan]]),  # a non-finite right side
+        ],
+    )
+    def test_singular_or_non_finite_gives_none(self, a, b):
+        assert _solve(np.array(a), np.array(b)) is None
+
+    def test_scalar_division_equals_lapack_bit_for_bit(self):
+        # LAPACK divides a one-column b; for several columns an optimized
+        # BLAS may multiply by the reciprocal instead, within an ulp
+        rng = np.random.default_rng(18)
+        signs = rng.choice([-1.0, 1.0], size=(2, 5000))
+        a, b = signs * 10.0 ** rng.uniform(-10.0, 10.0, size=(2, 5000))
+        for a_i, b_i in zip(a, b):
+            a_i, column, wide = np.array([[a_i]]), np.array([[b_i]]), np.array([[b_i, 1.0, -b_i]])
+            assert np.array_equal(_solve(a_i, column), np.linalg.solve(a_i, column))
+            np.testing.assert_array_max_ulp(_solve(a_i, wide), np.linalg.solve(a_i, wide), 1)
+
+    def test_solve_against_identity_equals_inv_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        for n in range(1, 6):
+            for _ in range(200):
+                h = rng.standard_normal((n, n))
+                assert np.array_equal(_solve(h, np.eye(n)), np.linalg.inv(h))
 
 
 class TestKinkTests:

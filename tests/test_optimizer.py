@@ -162,7 +162,7 @@ class TestRegimes:
 
     def test_linear_fractional_ratio_needs_two_steps_after_the_fixed_point(self):
         # sqrt(up/down) = (4 beta + 0.01)/(beta + 1) is flat in both tails, where
-        # secant steps on G crawl; the linear-fractional fit is exact
+        # steps on G alone would crawl; the linear-fractional fit is exact
         def objective(b):
             ratio = (4.0 * b + 0.01) / (b + 1.0)
             return np.log(ratio) ** 2, ratio, 1.0 / ratio
