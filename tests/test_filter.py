@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+import skf.filter as filter_module
 from skf.ellipsoid import EPS_TRACE
 from skf.experiments import (
     build_model,
@@ -36,6 +37,7 @@ from skf.filter import (
     skf_update,
 )
 from skf.model import AnalyticJacobians, Linearization, NonlinearModel, linearize_measurement
+from skf.optimizer import BRACKET, ScalarProblem
 from skf.validation import gain_cost, random_spd, random_update_setup
 
 
@@ -475,6 +477,27 @@ class TestGainRegime:
         report = self.update("single_set")
         assert (report.regime, report.evals, report.beta_star) == ("single_set", 0, 1.0)
 
+    def test_search_hook_takes_a_rebuilt_problem(self, monkeypatch):
+        # a tracer replaces skf.filter.minimize_scalar, reads the problem's
+        # bracket and hands the search a copy with a wrapped objective
+        rebuilt = dataclasses.replace(ScalarProblem(objective=abs), objective=round)
+        assert rebuilt.objective is round
+        assert rebuilt.bracket == BRACKET
+
+        search, brackets = filter_module.minimize_scalar, []
+
+        def traced(problem):
+            brackets.append(problem.bracket)
+            objective = problem.objective
+            return search(dataclasses.replace(problem, objective=lambda b: objective(b)))
+
+        untraced = self.update("interior")
+        monkeypatch.setattr(filter_module, "minimize_scalar", traced)
+        report = self.update("interior")
+        assert brackets == [BRACKET]
+        assert (report.beta_star, report.evals) == (untraced.beta_star, untraced.evals)
+        assert np.array_equal(report.gain, untraced.gain)
+
 
 class TestSolve:
     """``_solve``, the one solve of the gains and the kink tests."""
@@ -818,23 +841,3 @@ class TestNumericalHygiene:
                 assert np.max(np.abs(mat - mat.T)) == 0.0
             assert np.linalg.eigvalsh(belief.cov)[0] > 1e-14
             assert np.linalg.eigvalsh(belief.shape)[0] >= 0.0
-
-    def test_inner_beta_identity(self):
-        # For fixed traces the minimizing beta is the square-root ratio.
-        # Near a quadratic minimum a derivative-free search can localize the
-        # argmin only to ~sqrt(machine eps) in relative terms, so the match
-        # is asserted in log space at that scale.
-        from skf.optimizer import ScalarProblem, minimize_scalar
-
-        rng = np.random.default_rng(25)
-        for _ in range(20):
-            m_tr = float(rng.uniform(0.05, 20.0))
-            n_tr = float(rng.uniform(0.05, 20.0))
-            beta, value, _, _ = minimize_scalar(
-                ScalarProblem(
-                    objective=lambda b: ((1 + 1 / b) * m_tr + (1 + b) * n_tr, n_tr * b, m_tr / b)
-                )
-            )
-            closed = np.sqrt(m_tr / n_tr)
-            assert abs(np.log(beta) - np.log(closed)) < 1e-7
-            assert value <= (np.sqrt(m_tr) + np.sqrt(n_tr)) ** 2 + 1e-9

@@ -35,10 +35,11 @@ class TestClosedFormCases:
         for _ in range(30):
             m = float(rng.uniform(0.1, 50.0))
             n = float(rng.uniform(0.1, 50.0))
-            beta, _, _, _ = minimize_scalar(
+            beta, value, _, _ = minimize_scalar(
                 ScalarProblem(objective=lambda b: ((1 + 1 / b) * m + (1 + b) * n, n * b, m / b))
             )
             assert abs(np.log(beta) - 0.5 * np.log(m / n)) < 1e-7
+            assert value <= (np.sqrt(m) + np.sqrt(n)) ** 2 + 1e-9
 
 
 class TestGridConsistency:
@@ -67,19 +68,21 @@ class TestGridConsistency:
 
 
 class TestBracketHandling:
-    def test_expansion_reaches_exterior_minimum(self):
-        # minimum at t = 25, outside the default bracket
-        beta, value, _, _ = minimize_scalar(
+    def test_exterior_minimum_returns_upper_end_exactly(self):
+        # minimum at t = 25, outside the bracket: the search does not widen it
+        result = minimize_scalar(
             ScalarProblem(
                 objective=lambda b: parts((np.log(b) - 25.0) ** 2, 2 * (np.log(b) - 25.0))
             )
         )
-        assert np.log(beta) == pytest.approx(25.0, abs=1e-6)
-        assert value == pytest.approx(0.0, abs=1e-9)
+        assert result.beta == np.exp(20.0)
+        assert result.regime == "upper"
+        assert result.evals == 2
 
-    def test_unbounded_descent_raises(self):
-        with pytest.raises(OptimizerError, match="unbounded"):
-            minimize_scalar(ScalarProblem(objective=lambda b: parts(-np.log(b), -1.0)))
+    def test_unbounded_descent_returns_upper_end_exactly(self):
+        result = minimize_scalar(ScalarProblem(objective=lambda b: parts(-np.log(b), -1.0)))
+        assert result.beta == np.exp(20.0)
+        assert result.regime == "upper"
 
     def test_flat_objective_terminates(self):
         beta, value, _, _ = minimize_scalar(ScalarProblem(objective=lambda b: parts(7.0, 0.0)))
@@ -89,10 +92,6 @@ class TestBracketHandling:
     def test_non_finite_objective_raises(self):
         with pytest.raises(OptimizerError, match="not finite"):
             minimize_scalar(ScalarProblem(objective=lambda b: parts(float("nan"), 0.0)))
-
-    def test_invalid_bracket_rejected(self):
-        with pytest.raises(ValueError):
-            ScalarProblem(objective=lambda b: parts(b, b), bracket=(1.0, 1.0))
 
 
 class TestRegimes:

@@ -241,6 +241,7 @@ def test_limit_regime_slope_keeps_one_sign(problem):
     belief, lin, cfg, _, result = problem
     assume(result.regime != "interior")
     assert result.beta in (np.exp(-20.0), np.exp(20.0))
+    assert result.evals == 2
     _, slopes = grid_oracle(belief, lin, cfg.eta, np.exp(LOG_GRID))
     assert np.all(slopes >= 0.0) or np.all(slopes <= 0.0)
 
