@@ -83,7 +83,7 @@ class ExperimentConfig:
     meas_cov: np.ndarray
     ubb_meas_shape: np.ndarray
     stations: tuple[tuple[float, float], tuple[float, float]] | None = None
-    dt: float = 0.1
+    dt: float | None = None
 
     def __post_init__(self):
         """The one check of every setting; each message names its field."""
@@ -96,9 +96,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, int(value))
         object.__setattr__(self, "eta", FilterConfig(eta=self.eta).eta)
         dt = self.dt
-        if isinstance(dt, bool) or not isinstance(dt, Real) or not 0.0 < dt < math.inf:
+        bad_dt = isinstance(dt, bool) or not isinstance(dt, Real) or not 0.0 < dt < math.inf
+        if dt is not None and bad_dt:
             raise ValueError(f"dt must be a positive finite real number, got {dt!r}")
-        object.__setattr__(self, "dt", float(dt))
+        object.__setattr__(self, "dt", None if dt is None else float(dt))
         matrices = ("x0", "cov0", "shape0", "process_cov", "meas_cov", "ubb_meas_shape")
         for name in matrices + ("ubb_process_shapes", "stations"):
             value = getattr(self, name)
@@ -114,8 +115,10 @@ class ExperimentConfig:
             if name in ("x0", "stations") and value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} has non-finite entries")
             object.__setattr__(self, name, value)
-        if self.which == "example2" and self.stations is None:
-            raise ValueError("which 'example2' requires stations")
+        for name in ("stations", "dt"):  # example2 reads both, example1 neither
+            if (getattr(self, name) is None) == (self.which == "example2"):
+                need = "requires" if self.which == "example2" else "does not read"
+                raise ValueError(f"which {self.which!r} {need} {name}, got {getattr(self, name)!r}")
         if self.stations is not None and (len(self.stations) != 2 or len(set(self.stations)) < 2):
             raise ValueError(f"stations must be two distinct points, got {self.stations}")
         try:  # the model checks each noise matrix; its messages take the config's field names
@@ -410,7 +413,7 @@ def simulate_truth(cfg: ExperimentConfig, rng: np.random.Generator):
     states[0] = cfg.x0
     measurements = np.zeros((cfg.steps, model.meas_dim))
 
-    factor = {name: pair[1] for name, pair in model._psd.items()}  # all constants here
+    factor = model._psd  # all constants here: each entry is a factor
     draw_factors = [factor[f"ubb_process_shapes[{i}]"] for i in range(len(cfg.ubb_process_shapes))]
     kicks = None
     if cfg.which == "example2":

@@ -10,12 +10,13 @@ chosen each step by minimizing a weighted total-uncertainty cost
 
     J(beta) = (1 - eta) tr C_plus(beta) + eta tr S_plus(beta).
 
-The gain K(beta) is stationary in J, so one gain solve gives both the
-value and, by the envelope theorem, the slope
+For a gain K the posterior has four factor blocks (``_update_terms``), and
+its cost is a sum of their squared norms. At the stationary gain K(beta),
+by the envelope theorem, so is the slope
 
-    dJ/dlog(beta) = eta (beta tr T2 - tr T1 / beta),
+    dJ/dlog(beta) = eta (beta ||B_z||^2 - ||B_S||^2 / beta),
 
-with T1 = (I - K H_x) S (I - K H_x)^T and T2 = K H_b S_z H_b^T K^T. The
+with B_S = (I - K H_x) L_S, B_z = K H_b L_Sz, and T1, T2 their Grams. The
 search finds the zero of that slope, or the end of its bracket that the
 cost descends to, in a handful of evaluations; ``GainReport`` records
 which regime applied and how many evaluations it took.
@@ -27,13 +28,14 @@ with beta minimized out. A certified step takes the exact limit
 posterior and runs no search; every other step searches.
 
 The beta-independent products are formed once per update, in an
-``_UpdateContext``; every gain of the step, and both tests, come from it.
-At eta = 0 the center and covariance recursions coincide exactly with the
-extended Kalman filter. ``FilterConfig`` carries eta alone, a real number
-in [0, 1]. The posterior shape of a step that was not certified is
-p T1 + q T2 at the gain's own inflation pair. A belief carries factors
-L_C, L_S of C = L_C L_C^T, S = L_S L_S^T; each new one comes from one QR,
-so a computed belief is PSD by construction and is not checked.
+``_UpdateContext``; every gain of the step, both tests and the posterior's
+blocks come from it. At eta = 0 the center and covariance recursions
+coincide exactly with the extended Kalman filter. ``FilterConfig`` carries
+eta alone, a real number in [0, 1]. The posterior shape of a step that was
+not certified is p T1 + q T2 at the gain's own inflation pair. The filter
+computes from factors alone: L_C, L_S of a belief's C = L_C L_C^T and S =
+L_S L_S^T, L_Cz, L_Sz of the noise. Each new factor is one QR of blocks, so
+a computed belief is PSD by construction; its cov and shape are outputs.
 """
 
 from __future__ import annotations
@@ -165,9 +167,9 @@ def _predicted_cov_factor(lin: Linearization, l_c: np.ndarray) -> np.ndarray:
     return _qr_factor(lin.f_x @ l_c, lin.f_w @ lin.process_noise_factor)
 
 
-def _joseph_factor(ikh: np.ndarray, l_c: np.ndarray, gain, lin: Linearization) -> np.ndarray:
-    """Factor of the Joseph form: one QR of [(I - K H_x) L_C, K H_v L_Cz]."""
-    return _qr_factor(ikh @ l_c, gain @ lin.h_v @ lin.meas_noise_factor)
+def _sq_norm(factor: np.ndarray) -> float:
+    """tr(L L^T) of a factor or factor block L: its squared Frobenius norm."""
+    return float(np.vdot(factor, factor))
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -232,23 +234,27 @@ def skf_predict(
 
 
 class _UpdateContext:
-    """The beta-independent products of one update.
+    """The beta-independent products of one update, from H_x L_C, H_x L_S, H_v L_Cz, H_b L_Sz.
 
-    Built once per update from the prior belief, the measurement
-    linearization and eta; every gain of the step comes from ``gain``, or
-    from ``_kink_tests`` where a limit regime is certified.
+    Built once per update from the factors of the prior belief and of the
+    measurement noise, and eta; every gain of the step comes from ``gain``,
+    or from ``_kink_tests`` where a limit regime is certified.
     """
 
     def __init__(self, belief: StateBelief, lin: Linearization, eta: float):
         self.belief, self.lin, self.eta = belief, lin, eta
-        h_x, h_v, h_b = lin.h_x, lin.h_v, lin.h_b
-        # the covariance parts, (1 - eta) C H_x^T and (1 - eta)(H_x C H_x^T + R)
-        self.cov_cross = (1.0 - eta) * (belief.cov @ h_x.T)
-        self.s_ht = belief.shape @ h_x.T
-        self.meas_noise = h_v @ lin.meas_noise_cov @ h_v.T
-        self.cov_bracket = (1.0 - eta) * (h_x @ belief.cov @ h_x.T + self.meas_noise)
-        self.meas_prior_shape = h_x @ belief.shape @ h_x.T
-        self.meas_set_shape = h_b @ lin.meas_ubb_shape @ h_b.T
+        self.eye = np.eye(belief.dim)
+        hl_c, hl_s = lin.h_x @ belief.cov_factor, lin.h_x @ belief.shape_factor
+        self.hv_lcz = lin.h_v @ lin.meas_noise_factor
+        self.hb_lsz = lin.h_b @ lin.meas_ubb_factor
+        # the covariance parts, (1 - eta) C H_x^T and (1 - eta)(H_x C H_x^T + R),
+        # in ``ekf_step``'s order, so that eta = 0 gives the EKF gain bit for bit
+        self.cov_cross = (1.0 - eta) * (belief.cov_factor @ hl_c.T)
+        self.s_ht = belief.shape_factor @ hl_s.T
+        self.meas_noise = self.hv_lcz @ self.hv_lcz.T
+        self.cov_bracket = (1.0 - eta) * (hl_c @ hl_c.T + self.meas_noise)
+        self.meas_prior_shape = hl_s @ hl_s.T
+        self.meas_set_shape = self.hb_lsz @ self.hb_lsz.T
 
     def gain(self, p_prior: float, q_meas: float) -> np.ndarray:
         """Stationary gain for given inflation coefficients on the two set terms."""
@@ -275,42 +281,35 @@ def skf_gain(
     return _UpdateContext(belief, lin, cfg.eta).gain(1.0 + 1.0 / beta, 1.0 + beta)
 
 
-def _update_terms(belief: StateBelief, lin: Linearization, gain: np.ndarray):
-    """The Joseph covariance factor and the factor blocks of the two shape terms for a gain.
+def _update_terms(ctx: _UpdateContext, gain: np.ndarray):
+    """The posterior's four factor blocks for a gain K: (B_C, B_v, B_S, B_z).
 
-    Returns (L_plus, B1, B2): L_plus L_plus^T is the Joseph-form covariance,
-    B1 = (I - K H_x) L_S and B2 = K H_b L_Sz, so T1 = B1 B1^T and T2 = B2 B2^T.
+    B_C = (I - K H_x) L_C and B_v = K H_v L_Cz: the Joseph covariance is
+    B_C B_C^T + B_v B_v^T. B_S = (I - K H_x) L_S and B_z = K H_b L_Sz: the
+    shape terms are T1 = B_S B_S^T and T2 = B_z B_z^T. ``ekf_step`` forms
+    its Joseph blocks in the same order.
     """
-    ikh = np.eye(belief.dim) - gain @ lin.h_x
-    cov_factor = _joseph_factor(ikh, belief.cov_factor, gain, lin)
-    return cov_factor, ikh @ belief.shape_factor, gain @ lin.h_b @ lin.meas_ubb_factor
+    ikh, belief = ctx.eye - gain @ ctx.lin.h_x, ctx.belief
+    return ikh @ belief.cov_factor, gain @ ctx.hv_lcz, ikh @ belief.shape_factor, gain @ ctx.hb_lsz
 
 
 def _beta_cost(ctx: _UpdateContext):
     """The search objective: beta -> (J, up, down), with dJ/dlog(beta) = up - down.
 
-    Everything comes from the one stationary gain K(beta):
-    J = tr((I - K H_x) A) with A = (1 - eta) C + eta (1 + 1/beta) S,
-    up = eta beta tr T2 and down = eta tr T1 / beta. T2 is formed as
-    (K H_b) S_z (K H_b)^T: as beta grows, K H_b vanishes while K need not,
-    and forming H_b S_z H_b^T first would leave its rounding in T2.
+    Everything comes from the blocks of the one stationary gain
+    K(beta) = ctx.gain(p, q), with (p, q) = (1 + 1/beta, 1 + beta):
+    J = (1 - eta)(||B_C||^2 + ||B_v||^2) + eta (p ||B_S||^2 + q ||B_z||^2),
+    the posterior's own cost, up = eta beta ||B_z||^2 and
+    down = eta ||B_S||^2 / beta. Each is a sum of squares, so none is negative.
     """
-    eta, belief, lin = ctx.eta, ctx.belief, ctx.lin
-    eye = np.eye(belief.dim)
-    cov_part = (1.0 - eta) * belief.cov
+    eta = ctx.eta
 
     def cost(beta: float) -> tuple[float, float, float]:
-        gain = ctx.gain(1.0 + 1.0 / beta, 1.0 + beta)
-        ikh = eye - gain @ lin.h_x
-        ikh_s = ikh @ belief.shape
-        gain_b = gain @ lin.h_b
-        # ndarray methods, not np.sum and np.trace: the same reductions
-        # without their Python wrappers, which dominate small matrices
-        value = float((ikh * cov_part).sum()) + eta * (1.0 + 1.0 / beta) * float(ikh_s.trace())
-        # Both traces are of PSD products; a rounding residue below zero
-        # counts as zero.
-        tr_meas = max(float(((gain_b @ lin.meas_ubb_shape) * gain_b).sum()), 0.0)
-        tr_prior = max(float((ikh_s * ikh).sum()), 0.0)
+        p_prior, q_meas = 1.0 + 1.0 / beta, 1.0 + beta
+        b_c, b_v, b_s, b_z = _update_terms(ctx, ctx.gain(p_prior, q_meas))
+        tr_prior, tr_meas = _sq_norm(b_s), _sq_norm(b_z)
+        value = (1.0 - eta) * (_sq_norm(b_c) + _sq_norm(b_v))
+        value += eta * (p_prior * tr_prior + q_meas * tr_meas)
         return value, eta * beta * tr_meas, eta * tr_prior / beta
 
     return cost
@@ -346,15 +345,15 @@ def _kink_tests(ctx: _UpdateContext, tr_shape: float):
     fail a test but never pass one. A tall or singular H_x leaves beta -> 0
     to the search.
     """
-    eta, belief, lin = ctx.eta, ctx.belief, ctx.lin
-    l_n = lin.h_b @ lin.meas_ubb_factor
+    eta = ctx.eta
+    l_n = ctx.hb_lsz
     if l_n.shape[0] != l_n.shape[1]:
         l_n = _qr_factor(l_n)
     cross = ctx.cov_cross + eta * ctx.s_ht
     to_inf = _kink_ratio(l_n, cross.T, eta * eta * tr_shape)
     if to_inf is not None and to_inf <= 1.0:
         return "beta_to_inf", np.zeros_like(cross), (to_inf, None)
-    h_x = lin.h_x
+    h_x = ctx.lin.h_x
     if h_x.shape[0] != h_x.shape[1]:
         return None, None, (to_inf, None)
     k0 = _solve(h_x, np.eye(h_x.shape[0]))
@@ -362,7 +361,7 @@ def _kink_tests(ctx: _UpdateContext, tr_shape: float):
         return None, None, (to_inf, None)
     k0_ln = k0 @ l_n
     p_mat = k0 @ ((1.0 - eta) * ctx.meas_noise + eta * ctx.meas_set_shape) @ k0.T
-    to_zero = _kink_ratio(belief.shape_factor, p_mat, eta * eta * float(np.vdot(k0_ln, k0_ln)))
+    to_zero = _kink_ratio(ctx.belief.shape_factor, p_mat, eta * eta * float(np.vdot(k0_ln, k0_ln)))
     if to_zero is not None and to_zero <= 1.0:
         return "beta_to_zero", k0, (to_inf, to_zero)
     return None, None, (to_inf, to_zero)
@@ -402,9 +401,9 @@ def skf_update(
 
     # A point set term must not inflate the gain, or the beta search would
     # chase an inflation factor of 1 toward the bracket boundary.
-    tr_shape = float(np.trace(belief.shape))
+    tr_shape = _sq_norm(belief.shape_factor)
     prior_set_live = tr_shape > EPS_TRACE
-    meas_set_live = float(np.trace(ctx.meas_set_shape)) > EPS_TRACE
+    meas_set_live = _sq_norm(ctx.hb_lsz) > EPS_TRACE
     beta_star = 1.0
     evals = 0
     gain = None
@@ -444,14 +443,14 @@ def skf_update(
         posterior = object.__new__(StateBelief)
         posterior.__dict__.update(vars(belief), center=center, kind="posterior", step=k)
     else:
-        cov_factor, t_prior, t_meas = _update_terms(belief, lin, gain)
+        b_c, b_v, b_s, b_z = _update_terms(ctx, gain)
         if certified:
-            shape_factor = trace_min_sum([t_prior, t_meas])
+            shape_factor = trace_min_sum([b_s, b_z])
         else:
-            shape_factor = _qr_factor(np.sqrt(p_prior) * t_prior, np.sqrt(q_meas) * t_meas)
-        posterior = _computed_belief(center, cov_factor, shape_factor, "posterior", k)
-    trace_cov = float(np.trace(posterior.cov))
-    trace_shape = float(np.trace(posterior.shape))
+            shape_factor = _qr_factor(np.sqrt(p_prior) * b_s, np.sqrt(q_meas) * b_z)
+        posterior = _computed_belief(center, _qr_factor(b_c, b_v), shape_factor, "posterior", k)
+    trace_cov = _sq_norm(posterior.cov_factor)
+    trace_shape = _sq_norm(posterior.shape_factor)
     report = GainReport(
         gain=gain,
         beta_star=float(beta_star),
@@ -478,8 +477,9 @@ def ekf_step(
     Takes and returns the state and a factor L of its covariance L L^T.
     Bounded disturbances are ignored entirely; the covariance update uses
     the Joseph form. Kept free of the set-membership code path so the two
-    recursions can be cross-checked against each other; the gain solve and
-    the factor helpers it shares make them agree bit for bit at eta = 0.
+    recursions can be cross-checked against each other; it forms its gain
+    and Joseph blocks as ``_UpdateContext`` and ``_update_terms`` do, from
+    H_x L and H_v L_Cz, so the two agree bit for bit at eta = 0.
     A wrong-size ``y`` raises ``ValueError``, a non-finite result
     ``FilterError`` with the step.
     """
@@ -492,16 +492,16 @@ def ekf_step(
     lin_p = linearize_process(m, state, u, k)
     x_pred = lin_p.f_value
     pred_factor = _predicted_cov_factor(lin_p, cov_factor)
-    p_pred = pred_factor @ pred_factor.T
 
     lin_m = linearize_measurement(m, x_pred, k)
-    h_x, h_v, c_z = lin_m.h_x, lin_m.h_v, lin_m.meas_noise_cov
-    s_inn = h_x @ p_pred @ h_x.T + h_v @ c_z @ h_v.T
-    gain = _solve_gain(p_pred @ h_x.T, s_inn, "EKF innovation covariance", k)
+    h_x = lin_m.h_x
+    hl_p, hv_lcz = h_x @ pred_factor, lin_m.h_v @ lin_m.meas_noise_factor
+    s_inn = hl_p @ hl_p.T + hv_lcz @ hv_lcz.T
+    gain = _solve_gain(pred_factor @ hl_p.T, s_inn, "EKF innovation covariance", k)
 
     x_post = x_pred + gain @ wrap_angles(y - lin_m.h_value, m.angular_mask)
     ikh = np.eye(m.state_dim) - gain @ h_x
-    post_factor = _joseph_factor(ikh, pred_factor, gain, lin_m)
+    post_factor = _qr_factor(ikh @ pred_factor, gain @ hv_lcz)
     if not (np.isfinite(x_post).all() and np.isfinite(post_factor).all()):
         raise FilterError("EKF updated state or covariance is not finite", k)
     return x_post, post_factor

@@ -6,8 +6,8 @@ covariances, and bounded terms (a_1..a_I, b) whose reach is an ellipsoid
 with a shape matrix. Each such matrix, and each analytic Jacobian, is a
 constant, checked once and then served as stored, or a callable of the
 step, checked where it is served; Jacobians not given are central finite
-differences. A covariance or shape is served with its factor L (L L^T the
-matrix). ``NumericsError`` and its base ``FilterError`` are defined here,
+differences. A covariance or shape is served as its factor L only (L L^T
+the matrix). ``NumericsError`` and its base ``FilterError`` are defined here,
 where a provider's value is checked; ``skf.filter`` re-exports both.
 """
 
@@ -73,17 +73,17 @@ def _psd_pair(value, name: str) -> tuple[np.ndarray, np.ndarray]:
     return mat, factor
 
 
-def _serve_psd(m: NonlinearModel, name: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """A PSD field's (matrix, factor) at step k: stored for a constant, checked for a callable.
+def _serve_psd(m: NonlinearModel, name: str, k: int) -> np.ndarray:
+    """A PSD field's factor at step k: stored for a constant, checked for a callable.
 
     A callable's value that breaks the matrix rule raises ``NumericsError``.
     """
-    value, factor = m._psd[name]
-    if not callable(value):
-        return value, factor
-    served = value(k)
+    source = m._psd[name]
+    if not callable(source):
+        return source
+    served = source(k)
     try:
-        return _psd_pair(served, name)
+        return _psd_pair(served, name)[1]
     except ValueError as err:
         raise NumericsError(str(err), k) from err
 
@@ -143,19 +143,19 @@ class NonlinearModel:
     ubb_meas_shape: Callable | np.ndarray
     jacobians: AnalyticJacobians | None = None
     angular_mask: np.ndarray | None = None
-    # field name (``ubb_process_shapes[i]`` per shape) -> (value, factor or None)
+    # field name (``ubb_process_shapes[i]`` per shape) -> a constant's factor, or the callable
     _psd: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrices = ("process_noise_cov", "meas_noise_cov", "ubb_meas_shape")
         named = [(name, getattr(self, name)) for name in matrices]
         named += [(f"ubb_process_shapes[{i}]", s) for i, s in enumerate(self.ubb_process_shapes)]
-        psd = {name: (v, None) if callable(v) else _psd_pair(v, name) for name, v in named}
+        pairs = {name: (v, v) if callable(v) else _psd_pair(v, name) for name, v in named}
         for name in matrices:
-            object.__setattr__(self, name, psd[name][0])
-        shapes = tuple(psd[name][0] for name, _ in named[3:])
+            object.__setattr__(self, name, pairs[name][0])
+        shapes = tuple(pairs[name][0] for name, _ in named[3:])
         object.__setattr__(self, "ubb_process_shapes", shapes)
-        object.__setattr__(self, "_psd", psd)
+        object.__setattr__(self, "_psd", {name: pair[1] for name, pair in pairs.items()})
         object.__setattr__(self, "jacobians", self.jacobians or AnalyticJacobians())
         slots = self.jacobians.f_a
         if slots is not None and len(shapes) > len(slots):
@@ -174,9 +174,8 @@ class Linearization:
     ``linearize_process`` fills the process part (the value f_value at the
     expansion point, f_x, f_w, f_a); ``linearize_measurement`` the
     measurement part (h_value, h_x, h_v, h_b). Each also carries the
-    step's noise matrices of its part, served once from the model's fields:
-    the process part their factors only, which is all prediction uses, the
-    measurement part each matrix with its factor beside it.
+    factors of its part's noise covariances and shapes at the step, served
+    once from the model's fields; the filter computes from them alone.
     """
 
     f_value: np.ndarray | None = None
@@ -189,9 +188,7 @@ class Linearization:
     h_x: np.ndarray | None = None
     h_v: np.ndarray | None = None
     h_b: np.ndarray | None = None
-    meas_noise_cov: np.ndarray | None = None
     meas_noise_factor: np.ndarray | None = None
-    meas_ubb_shape: np.ndarray | None = None
     meas_ubb_factor: np.ndarray | None = None
 
 
@@ -237,9 +234,9 @@ def linearize_process(
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
     if np.size(u) != m.input_dim:
         raise ValueError(f"input has dimension {np.size(u)}, expected {m.input_dim}")
-    _, l_u = _serve_psd(m, "process_noise_cov", k)
+    l_u = _serve_psd(m, "process_noise_cov", k)
     names = [f"ubb_process_shapes[{i}]" for i in range(len(m.ubb_process_shapes))]
-    factors = tuple(_serve_psd(m, name, k)[1] for name in names)
+    factors = tuple(_serve_psd(m, name, k) for name in names)
     w0 = np.zeros(l_u.shape[0])
     a0 = [np.zeros(f.shape[0]) for f in factors]
     f_value = _check_finite(m.f(x_center, u, w0, a0, k), "process value", k)
@@ -271,15 +268,15 @@ def linearize_measurement(m: NonlinearModel, x_center: np.ndarray, k: int) -> Li
     """Expand the measurement map about (x_center, v=0, b=0).
 
     Returns the measurement value there, which must be finite, together
-    with h_x, h_v, h_b and the step's measurement noise matrices.
+    with h_x, h_v, h_b and the step's measurement noise factors.
     """
     x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
     if x_center.size != m.state_dim:
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
-    c_z, l_cz = _serve_psd(m, "meas_noise_cov", k)
-    s_z, l_sz = _serve_psd(m, "ubb_meas_shape", k)
-    v0 = np.zeros(c_z.shape[0])
-    b0 = np.zeros(s_z.shape[0])
+    l_cz = _serve_psd(m, "meas_noise_cov", k)
+    l_sz = _serve_psd(m, "ubb_meas_shape", k)
+    v0 = np.zeros(l_cz.shape[0])
+    b0 = np.zeros(l_sz.shape[0])
     h_value = _check_finite(m.h(x_center, v0, b0, k), "measurement value", k)
 
     jac = m.jacobians
@@ -293,8 +290,6 @@ def linearize_measurement(m: NonlinearModel, x_center: np.ndarray, k: int) -> Li
         h_x=h_x,
         h_v=h_v,
         h_b=h_b,
-        meas_noise_cov=c_z,
         meas_noise_factor=l_cz,
-        meas_ubb_shape=s_z,
         meas_ubb_factor=l_sz,
     )

@@ -70,7 +70,7 @@ def gain_cost(
 
 
 def random_update_setup(rng: np.random.Generator, n: int | None = None, m: int | None = None):
-    """A random prior belief plus measurement linearization (noise factors too) for gain checks."""
+    """A random prior belief plus measurement linearization, its noise as Cholesky factors."""
     n = n or int(rng.integers(1, 5))
     m = m or int(rng.integers(1, 5))
     belief = StateBelief(
@@ -88,9 +88,7 @@ def random_update_setup(rng: np.random.Generator, n: int | None = None, m: int |
         h_x=h_x,
         h_v=h_v,
         h_b=h_b,
-        meas_noise_cov=c_z,
         meas_noise_factor=np.linalg.cholesky(c_z),
-        meas_ubb_shape=s_z,
         meas_ubb_factor=np.linalg.cholesky(s_z),
     )
     return belief, lin
@@ -223,7 +221,8 @@ def check_gain_stationarity(configs: int = 30, seed: int = 4) -> CheckResult:
         beta = float(np.exp(rng.uniform(-1.5, 1.5)))
         gain = skf_gain(belief, lin, FilterConfig(eta=eta), beta)
 
-        mats = (belief.cov, belief.shape, lin.meas_noise_cov, lin.meas_ubb_shape)
+        noise = (f @ f.T for f in (lin.meas_noise_factor, lin.meas_ubb_factor))
+        mats = (belief.cov, belief.shape, *noise)
         args = (beta, eta, *mats, lin.h_x, lin.h_v, lin.h_b)
         grad, grad_at_zero = (
             _central_gradient(lambda k_mat: gain_cost(k_mat, *args), at)

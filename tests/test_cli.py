@@ -190,6 +190,9 @@ class TestRunCommand:
             ("x0", 0.1),
             ("ubb_process_shapes", [[[9.0]], [[9.0]]]),
             ("ubb_process_shapes", [[[1.0, 0.0], [0.0, 1.0]]]),
+            # fields the scenario does not read
+            ("dt", 5.0),
+            ("stations", [[0.0, 0.0], [3.0, 4.0]]),
         ],
     )
     def test_bad_config_value_exits_1_before_output(self, tmp_path, capsys, key, value):
@@ -209,6 +212,8 @@ class TestRunCommand:
             ("x0", [0.0, 0.0]),
             ("stations", [[50.0, 100.0], [50.0, 100.0]]),
             ("stations", [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+            ("stations", None),
+            ("dt", None),
         ],
     )
     def test_bad_example2_config_value_exits_1_before_output(self, tmp_path, capsys, key, value):

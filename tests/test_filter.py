@@ -42,7 +42,7 @@ from skf.validation import gain_cost, random_spd, random_update_setup
 
 
 def scalar_linearization(h=1.0, cz=1.0, sz=1.0):
-    return Linearization(
+    return factored_linearization(
         h_x=np.array([[h]]),
         h_v=np.eye(1),
         h_b=np.eye(1),
@@ -75,12 +75,18 @@ REGIME_SETUPS = {
 }
 
 
-def factored_linearization(**fields):
-    """A measurement ``Linearization`` whose noise matrices carry Cholesky factors."""
-    c_z, s_z = (np.atleast_2d(fields[name]) for name in ("meas_noise_cov", "meas_ubb_shape"))
+def factored_linearization(meas_noise_cov, meas_ubb_shape, **fields):
+    """A measurement ``Linearization`` whose noise factors are the matrices' Cholesky factors."""
     return Linearization(
-        **fields, meas_noise_factor=np.linalg.cholesky(c_z), meas_ubb_factor=np.linalg.cholesky(s_z)
+        **fields,
+        meas_noise_factor=np.linalg.cholesky(np.atleast_2d(meas_noise_cov)),
+        meas_ubb_factor=np.linalg.cholesky(np.atleast_2d(meas_ubb_shape)),
     )
+
+
+def noise_matrices(lin):
+    """(C_z, S_z) of a linearization, as L L^T of its noise factors."""
+    return tuple(f @ f.T for f in (lin.meas_noise_factor, lin.meas_ubb_factor))
 
 
 def sq_norm(factor):
@@ -94,12 +100,14 @@ def production_cost(belief, lin, cfg):
     Returns (J, up, down) with the envelope slope dJ/dlog(beta) = up - down.
     """
 
+    ctx = _UpdateContext(belief, lin, cfg.eta)
+
     def cost(beta):
         gain = skf_gain(belief, lin, cfg, beta)
-        cov_factor, t_prior, t_meas = _update_terms(belief, lin, gain)
+        b_c, b_v, t_prior, t_meas = _update_terms(ctx, gain)
         tr_prior, tr_meas = sq_norm(t_prior), sq_norm(t_meas)
         tr_shape = (1 + 1 / beta) * tr_prior + (1 + beta) * tr_meas
-        value = (1 - cfg.eta) * sq_norm(cov_factor) + cfg.eta * tr_shape
+        value = (1 - cfg.eta) * (sq_norm(b_c) + sq_norm(b_v)) + cfg.eta * tr_shape
         return value, cfg.eta * beta * tr_meas, cfg.eta * tr_prior / beta
 
     return cost
@@ -217,8 +225,8 @@ class TestGain:
             h_x=np.array([[0.0]]),
             h_v=np.array([[0.0]]),
             h_b=np.array([[0.0]]),
-            meas_noise_cov=np.eye(1),
-            meas_ubb_shape=np.eye(1),
+            meas_noise_factor=np.eye(1),
+            meas_ubb_factor=np.eye(1),
         )
         with pytest.raises(SingularInnovationError, match="singular or numerically deficient"):
             skf_gain(belief, lin, FilterConfig(eta=0.5), 1.0)
@@ -235,7 +243,7 @@ class TestGain:
             def cost(k_mat):
                 return gain_cost(
                     k_mat, beta, eta, belief.cov, belief.shape,
-                    lin.meas_noise_cov, lin.meas_ubb_shape,
+                    *noise_matrices(lin),
                     lin.h_x, lin.h_v, lin.h_b,
                 )
 
@@ -345,7 +353,7 @@ class TestUpdate:
             if not (1e-6 < beta_star < 1e6):
                 continue  # flat tail: identity ill-conditioned
             gain = skf_gain(belief, lin, cfg, beta_star)
-            _, t_prior, t_meas = _update_terms(belief, lin, gain)
+            _, _, t_prior, t_meas = _update_terms(_UpdateContext(belief, lin, cfg.eta), gain)
             ratio = np.sqrt(sq_norm(t_prior) / sq_norm(t_meas))
             assert beta_star == pytest.approx(ratio, rel=1e-5)
 
@@ -355,6 +363,7 @@ class TestUpdate:
             belief, lin = random_update_setup(rng, n=2, m=2)
             cfg = FilterConfig(eta=0.5)
             m = scalar_model()
+            c_z, s_z = noise_matrices(lin)
             post_model = NonlinearModel(
                 state_dim=2,
                 input_dim=2,
@@ -363,14 +372,15 @@ class TestUpdate:
                 h=lambda x, v, b, k: lin.h_x @ x + v + b,
                 process_noise_cov=np.eye(2),
                 ubb_process_shapes=(),
-                meas_noise_cov=lin.meas_noise_cov,
-                ubb_meas_shape=lin.meas_ubb_shape,
+                meas_noise_cov=c_z,
+                ubb_meas_shape=s_z,
             )
             post, report = skf_update(
                 belief, np.zeros(2), post_model, cfg, 1
             )
-            _, t_prior, t_meas = _update_terms(belief,
-                linearize_measurement(post_model, belief.center, 1), report.gain)
+            lin_post = linearize_measurement(post_model, belief.center, 1)
+            ctx = _UpdateContext(belief, lin_post, cfg.eta)
+            _, _, t_prior, t_meas = _update_terms(ctx, report.gain)
             m_tr, n_tr = sq_norm(t_prior), sq_norm(t_meas)
             bound = (np.sqrt(m_tr) + np.sqrt(n_tr)) ** 2
             assert report.trace_shape <= bound + 1e-9

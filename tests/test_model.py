@@ -195,8 +195,8 @@ class TestLinearizeMeasurement:
         lin = linearize_measurement(m, np.array([5.0, 7.0, 1.0, 0.0]), k=1)
         assert np.allclose(lin.h_v, np.eye(4))
         assert np.allclose(lin.h_b, np.eye(4))
-        assert np.allclose(lin.meas_noise_cov, cfg.meas_cov)
-        assert np.allclose(lin.meas_ubb_shape, cfg.ubb_meas_shape)
+        assert np.allclose(lin.meas_noise_factor @ lin.meas_noise_factor.T, cfg.meas_cov)
+        assert np.allclose(lin.meas_ubb_factor @ lin.meas_ubb_factor.T, cfg.ubb_meas_shape)
 
 
 class TestJacobianAgreement:

@@ -22,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 from skf.ellipsoid import (
     EPS_TRACE,
     _check_psd,
+    _qr_factor,
     _scale_tol,
     pair_sum_shape,
     symmetrize,
@@ -178,11 +179,12 @@ def update_problems(draw):
     return belief, lin, cfg, scale, result
 
 
-def factored_linearization(**fields):
-    """A measurement ``Linearization`` whose noise matrices carry Cholesky factors."""
-    c_z, s_z = (np.atleast_2d(fields[name]) for name in ("meas_noise_cov", "meas_ubb_shape"))
+def factored_linearization(meas_noise_cov, meas_ubb_shape, **fields):
+    """A measurement ``Linearization`` whose noise factors are the matrices' Cholesky factors."""
     return Linearization(
-        **fields, meas_noise_factor=np.linalg.cholesky(c_z), meas_ubb_factor=np.linalg.cholesky(s_z)
+        **fields,
+        meas_noise_factor=np.linalg.cholesky(np.atleast_2d(meas_noise_cov)),
+        meas_ubb_factor=np.linalg.cholesky(np.atleast_2d(meas_ubb_shape)),
     )
 
 
@@ -195,9 +197,10 @@ def grid_oracle(belief, lin, eta, betas):
     """
     h_x, h_b = lin.h_x, lin.h_b
     c, s = belief.cov, belief.shape
+    c_z, s_z = (f @ f.T for f in (lin.meas_noise_factor, lin.meas_ubb_factor))
     p, q = 1 + 1 / betas, 1 + betas
-    r = lin.h_v @ lin.meas_noise_cov @ lin.h_v.T
-    z = h_b @ lin.meas_ubb_shape @ h_b.T
+    r = lin.h_v @ c_z @ lin.h_v.T
+    z = h_b @ s_z @ h_b.T
     cross = (1 - eta) * (c @ h_x.T)[None] + eta * p[:, None, None] * (s @ h_x.T)[None]
     bracket = (1 - eta) * (h_x @ c @ h_x.T + r)[None] + eta * (
         p[:, None, None] * (h_x @ s @ h_x.T)[None] + q[:, None, None] * z[None]
@@ -210,7 +213,7 @@ def grid_oracle(belief, lin, eta, betas):
     def tr(left, mid):
         return np.trace(left @ mid @ np.swapaxes(left, 1, 2), axis1=1, axis2=2)
 
-    t_prior, t_meas = tr(ikh, s), tr(gain_b, lin.meas_ubb_shape)
+    t_prior, t_meas = tr(ikh, s), tr(gain_b, s_z)
     costs = (1 - eta) * (tr(ikh, c) + tr(gain, r)) + eta * (p * t_prior + q * t_meas)
     return costs, eta * (betas * t_meas - t_prior / betas)
 
@@ -221,7 +224,8 @@ def test_interior_beta_meets_envelope_identity(problem):
     belief, lin, cfg, _, result = problem
     assume(result.regime == "interior")
     gain = skf_gain(belief, lin, cfg, result.beta)
-    _, t_prior, t_meas = _update_terms(belief, lin, gain)  # T1 = B1 B1^T, T2 = B2 B2^T
+    # T1 = B_S B_S^T, T2 = B_z B_z^T
+    _, _, t_prior, t_meas = _update_terms(_UpdateContext(belief, lin, cfg.eta), gain)
     identity = result.beta**2 * np.sum(t_meas * t_meas) / np.sum(t_prior * t_prior)
     assert abs(identity - 1.0) <= 1e-8
 
@@ -244,6 +248,51 @@ def test_limit_regime_slope_keeps_one_sign(problem):
     assert result.evals == 2
     _, slopes = grid_oracle(belief, lin, cfg.eta, np.exp(LOG_GRID))
     assert np.all(slopes >= 0.0) or np.all(slopes <= 0.0)
+
+
+@st.composite
+def factored_update_problems(draw):
+    """An update's context with S and S_z of any rank, zero included, and eta in (0, 1).
+
+    C and C_z are positive definite, so the gain's bracket is. The prior
+    shape is L L^T of an n x rank factor of ``factor_terms``, and the
+    measurement set is given by an m x rank factor L_Sz of its own.
+    """
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def spd(k):
+        factor = low_rank(draw, k, k)
+        return symmetrize(factor @ factor.T + 0.1 * np.eye(k))
+
+    l_s = draw(factor_terms(n))
+    belief = StateBelief(np.zeros(n), spd(n), symmetrize(l_s @ l_s.T), "prior", 1)
+    lin = Linearization(
+        h_x=low_rank(draw, m, n),
+        h_v=np.eye(m),
+        h_b=low_rank(draw, m, m),
+        meas_noise_factor=np.linalg.cholesky(spd(m)),
+        meas_ubb_factor=draw(factor_terms(m)),
+    )
+    return _UpdateContext(belief, lin, draw(st.floats(0.01, 0.99)))
+
+
+@PROPERTY
+@given(factored_update_problems(), st.floats(-20.0, 20.0))
+def test_search_cost_is_the_posteriors_own_cost(ctx, log_beta):
+    # J, up and down are the squared norms of the posterior's covariance
+    # factor and shape blocks at the gain the cost solves for; up and down
+    # are sums of squares, never below zero
+    beta = float(np.exp(log_beta))
+    p, q, eta = 1.0 + 1.0 / beta, 1.0 + beta, ctx.eta
+    value, up, down = _beta_cost(ctx)(beta)
+    b_c, b_v, b_s, b_z = _update_terms(ctx, ctx.gain(p, q))
+    cov_factor = _qr_factor(b_c, b_v)  # the posterior's, as skf_update forms it
+    tr_cov, tr_prior, tr_meas = (float(np.sum(b * b)) for b in (cov_factor, b_s, b_z))
+    expected = (1 - eta) * tr_cov + eta * (p * tr_prior + q * tr_meas)
+    assert value == pytest.approx(expected, rel=1e-12, abs=0)
+    assert up == pytest.approx(eta * beta * tr_meas, rel=1e-12, abs=0)
+    assert down == pytest.approx(eta * tr_prior / beta, rel=1e-12, abs=0)
+    assert up >= 0.0 and down >= 0.0
 
 
 def log_uniform(low, high):
@@ -338,9 +387,9 @@ def certify(ctx):
 
 def reduced_cost(belief, lin, eta, gain):
     """J*(K) = (1 - eta) tr C+(K) + eta (||(I - K H_x) L_S||_F + ||K H_b L_Sz||_F)^2."""
-    cov_factor, t_prior, t_meas = _update_terms(belief, lin, gain)
+    b_c, b_v, t_prior, t_meas = _update_terms(_UpdateContext(belief, lin, eta), gain)
     a, b = np.linalg.norm(t_prior), np.linalg.norm(t_meas)
-    return (1 - eta) * float(np.sum(cov_factor * cov_factor)) + eta * (a + b) ** 2
+    return (1 - eta) * float(np.sum(b_c * b_c) + np.sum(b_v * b_v)) + eta * (a + b) ** 2
 
 
 @PROPERTY
