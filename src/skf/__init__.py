@@ -13,6 +13,7 @@ from .ellipsoid import (
     Ellipsoid,
     affine_image,
     contains,
+    membership_form,
     pair_sum_shape,
     sample_boundary,
     trace_min_sum,
@@ -80,6 +81,7 @@ __all__ = [
     "example2_config",
     "linearize_measurement",
     "linearize_process",
+    "membership_form",
     "minimize_scalar",
     "pair_sum_shape",
     "run_trial",

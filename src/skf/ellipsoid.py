@@ -4,6 +4,7 @@ An ellipsoid is represented by its center c and a symmetric positive
 semi-definite shape matrix S as {x : (x - c)^T S^{-1} (x - c) <= 1}.
 This module provides affine images, membership tests, and the
 trace-minimal ellipsoidal outer bound of a Minkowski sum of ellipsoids.
+Membership has one form, ``membership_form``, on any square factor L of S.
 The sum bounds work on shape matrices alone: the center of a sum is the
 sum of the centers, so callers that track centers add them directly.
 
@@ -131,11 +132,13 @@ class Ellipsoid:
     The shape matrix must be symmetric within ``TOL_SYM`` and positive
     semi-definite. Shapes whose smallest eigenvalue falls below ``EPS_PD``
     are flagged degenerate: they remain valid operands of sums and affine
-    maps but reject membership queries.
+    maps but reject membership queries. ``factor`` is the factor
+    V sqrt(Lambda) of the shape that the matrix rule returns.
     """
 
     center: np.ndarray
     shape: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
     _eigmin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -143,8 +146,8 @@ class Ellipsoid:
         if center.ndim != 1 or not np.all(np.isfinite(center)):
             raise ValueError("center must be a vector of finite entries")
         # checked as a stack of one, so that a stack given as the shape fails
-        (shape,), (eigmin,), _ = _check_psd(np.atleast_2d(self.shape)[None], center.size)
-        self.__dict__.update(center=center, shape=shape, _eigmin=float(eigmin))
+        (shape,), (eigmin,), (factor,) = _check_psd(np.atleast_2d(self.shape)[None], center.size)
+        self.__dict__.update(center=center, shape=shape, factor=factor, _eigmin=float(eigmin))
 
     @property
     def dim(self) -> int:
@@ -173,15 +176,33 @@ def affine_image(e: Ellipsoid, a, b=None) -> Ellipsoid:
     return Ellipsoid(a @ e.center + b, symmetrize(a @ e.shape @ a.T))
 
 
+def membership_form(center, factor, x) -> float:
+    """The quadratic form ||L^-1 (x - c)||^2 of a point x against {c + L u : ||u|| <= 1}.
+
+    For a square factor L of S = L L^T it is (x - c)^T S^-1 (x - c), whichever
+    factor L is (triangular, or V sqrt(Lambda) of an eigendecomposition); its
+    rounding grows with cond(L) = cond(S)^(1/2). +inf where the solve fails:
+    L is singular, or the result is not finite.
+    """
+    d = np.atleast_1d(np.asarray(x, dtype=float)) - center
+    try:
+        z = np.linalg.solve(np.atleast_2d(factor), d)
+    except np.linalg.LinAlgError:
+        return math.inf
+    form = float(z @ z)
+    return form if math.isfinite(form) else math.inf
+
+
 def contains(e: Ellipsoid, x, slack: float = 0.0) -> bool:
     """Membership test (x - c)^T S^{-1} (x - c) <= 1 + slack.
 
-    Solved against the Cholesky factor L of S as |L^{-1} (x - c)|^2,
-    never through an explicit inverse. Degenerate ellipsoids are rejected:
-    the quadratic form is unbounded on flat directions.
+    ``membership_form`` on the ellipsoid's kept factor, never through an
+    explicit inverse. Degenerate ellipsoids are rejected: the quadratic form
+    is unbounded on flat directions. A slack that is negative or not finite,
+    and a point with a non-finite entry, raise ``ValueError``.
     """
-    if slack < 0:
-        raise ValueError("slack must be nonnegative")
+    if not 0.0 <= slack < math.inf:
+        raise ValueError(f"slack must be a nonnegative finite number, got {slack}")
     if e.degenerate:
         raise DegenerateEllipsoidError(
             "membership is undefined for a degenerate (flat) ellipsoid"
@@ -189,8 +210,9 @@ def contains(e: Ellipsoid, x, slack: float = 0.0) -> bool:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != e.dim:
         raise ValueError(f"point has dimension {x.size}, expected {e.dim}")
-    z = np.linalg.solve(np.linalg.cholesky(e.shape), x - e.center)
-    return float(z @ z) <= 1.0 + slack
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"point has non-finite entries: {x}")
+    return membership_form(e.center, e.factor, x) <= 1.0 + slack
 
 
 def pair_sum_shape(s1, s2, beta: float) -> np.ndarray:
@@ -199,8 +221,8 @@ def pair_sum_shape(s1, s2, beta: float) -> np.ndarray:
     For beta = sqrt(tr S1 / tr S2) the trace of the result equals
     (sqrt(tr S1) + sqrt(tr S2))^2, the minimum over beta > 0.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be a positive finite number, got {beta}")
     (s1, s2), _, _ = _check_psd(np.atleast_2d(s1, s2), names=("s1", "s2"))
     return (1.0 + 1.0 / beta) * s1 + (1.0 + beta) * s2
 
@@ -237,9 +259,9 @@ def trace_min_sum(factors: Sequence) -> np.ndarray:
 def sample_boundary(e: Ellipsoid, count: int, seed: int) -> np.ndarray:
     """Deterministic points on the boundary of an ellipsoid.
 
-    Uniform directions on the unit sphere are mapped through the Cholesky
-    factor of the shape matrix, so the quadratic form of every sample is
-    exactly one up to rounding. Returns an array of ``count`` rows.
+    Uniform directions on the unit sphere are mapped through the
+    ellipsoid's kept factor V sqrt(Lambda), so the quadratic form of every
+    sample is exactly one up to rounding. Returns an array of ``count`` rows.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -253,5 +275,4 @@ def sample_boundary(e: Ellipsoid, count: int, seed: int) -> np.ndarray:
         u[bad] = rng.standard_normal((int(bad.sum()), e.dim))
         norms = np.linalg.norm(u, axis=1)
     u /= norms[:, None]
-    chol = np.linalg.cholesky(e.shape)
-    return e.center + u @ chol.T
+    return e.center + u @ e.factor.T

@@ -24,17 +24,18 @@ which regime applied and how many evaluations it took.
 Before any search, two closed-form tests (``_kink_tests``) decide whether
 a limit regime is optimal: beta -> inf, the gain K = 0, or beta -> 0, the
 gain K0 = H_x^-1 of a square H_x. These are the kinks of the update cost
-with beta minimized out. A certified step takes the exact limit
-posterior and runs no search; every other step searches.
+with beta minimized out. A certified step takes the exact limit gain
+and runs no search; every other step searches.
 
 The beta-independent products are formed once per update, in an
 ``_UpdateContext``; every gain of the step, both tests and the posterior's
 blocks come from it. At eta = 0 the center and covariance recursions
 coincide exactly with the extended Kalman filter. ``FilterConfig`` carries
-eta alone, a real number in [0, 1]. The posterior shape of a step that was
-not certified is p T1 + q T2 at the gain's own inflation pair. The filter
-computes from factors alone: L_C, L_S of a belief's C = L_C L_C^T and S =
-L_S L_S^T, L_Cz, L_Sz of the noise. Each new factor is one QR of blocks, so
+eta alone, a real number in [0, 1]. For eta > 0 the posterior shape has
+one rule in every regime: the trace-minimal bound ``trace_min_sum`` of
+the gain's two set blocks B_S and B_z. The filter computes from factors
+alone: L_C, L_S of a belief's C = L_C L_C^T and S = L_S L_S^T, L_Cz, L_Sz
+of the noise. Each new factor is one QR of blocks, so
 a computed belief is PSD by construction; its cov and shape are outputs.
 """
 
@@ -128,8 +129,9 @@ class GainReport:
     of the search: 0 where a kink test certified its regime, whose gain is
     then the limit gain itself; a limit regime the search found keeps its
     gain at the bracket end. Otherwise ``gain`` is stationary for the
-    inflation pair (p, q) whose bound p T1 + q T2 is the posterior shape
-    (see ``skf_update``). ``kink_ratios`` holds left side / right side of
+    inflation pair (p, q) of ``beta_star``; for eta > 0 the posterior shape
+    is the trace-minimal bound of that gain's two set terms, whatever the
+    regime (see ``skf_update``). ``kink_ratios`` holds left side / right side of
     the beta -> inf and the beta -> 0 test of ``_kink_tests``, None where a
     test did not run or its solve failed; a ratio of at most 1 certifies.
     """
@@ -276,8 +278,8 @@ def skf_gain(
         + eta [(1+1/beta) H_x S H_x^T + (1+beta) H_b S_z H_b^T],
     computed by a linear solve against the symmetrized bracket.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be a positive finite number, got {beta}")
     return _UpdateContext(belief, lin, cfg.eta).gain(1.0 + 1.0 / beta, 1.0 + beta)
 
 
@@ -377,18 +379,23 @@ def skf_update(
 
     With both set terms live and eta > 0, ``_kink_tests`` first decides in
     closed form whether a kink of the cost is optimal; such a step takes
-    its exact posterior and runs no search. At beta -> inf the gain is 0
-    and the posterior is the prior. At beta -> 0 the gain is K0 = H_x^-1,
-    the covariance the Joseph form at K0 and the shape the trace-minimal
-    bound of its two terms, (I - K0 H_x) L_S, at rounding level, and
-    K0 H_b L_Sz. Either reports its bracket end as beta.
+    its exact limit gain, 0 at beta -> inf or K0 = H_x^-1 at beta -> 0, runs
+    no search and reports its bracket end as beta.
 
-    Otherwise one inflation pair (p, q) gives the gain, ``ctx.gain(p, q)``,
-    and the posterior shape p T1 + q T2: (1 + 1/beta, 1 + beta) with both
-    set terms live, beta minimizing J(beta) or, at eta = 0, where J does
-    not depend on it, 1 by convention. A limit regime the tests did not
-    certify keeps its bracket end. A set term of (essentially) zero trace
-    is a point: it takes 0, a live term 1, and beta = 1 is reported.
+    Otherwise one inflation pair (p, q) gives the gain, ``ctx.gain(p, q)``:
+    (1 + 1/beta, 1 + beta) with both set terms live, beta minimizing J(beta)
+    or, at eta = 0, where J does not depend on it, 1 by convention. A limit
+    regime the tests did not certify keeps its bracket end. A set term of
+    (essentially) zero trace is a point: it takes 0, a live term 1, and
+    beta = 1 is reported.
+
+    The covariance is the Joseph form at the gain. For eta > 0 the shape is
+    ``trace_min_sum`` of the gain's blocks B_S = (I - K H_x) L_S and
+    B_z = K H_b L_Sz, in every regime: at an interior beta* the envelope
+    identity beta*^2 ||B_z||^2 = ||B_S||^2 makes it p T1 + q T2 without the
+    search's tolerance, K = 0 gives a factor of the prior shape, and a point
+    term is dropped. Any beta > 0 bounds the set of a fixed gain, so the
+    shape holds the set in every regime.
     """
     if belief.kind != "prior":
         raise ValueError("update starts from a prior belief")
@@ -427,8 +434,7 @@ def skf_update(
     else:
         # A point term adds nothing to the sum: 0 for it, 1 for a live term.
         regime = "single_set"
-    certified = gain is not None
-    if not certified:
+    if gain is None:
         if prior_set_live and meas_set_live:
             p_prior, q_meas = 1.0 + 1.0 / beta_star, 1.0 + beta_star
         else:
@@ -439,16 +445,19 @@ def skf_update(
     if not np.all(np.isfinite(center)):
         raise FilterError(f"updated center is not finite: {center}", k)
 
-    if certified and regime == "beta_to_inf":
-        posterior = object.__new__(StateBelief)
-        posterior.__dict__.update(vars(belief), center=center, kind="posterior", step=k)
+    b_c, b_v, b_s, b_z = _update_terms(ctx, gain)
+    if eta == 0.0:
+        # p T1 + q T2 at the gain's conventional pair, 2 T1 + 2 T2 with both
+        # terms live. The benchmark's reference (perfbench/reference.json)
+        # pins ex2_eta0's semi-axes from this shape; once it is re-pinned,
+        # eta = 0 takes the rule below too.
+        shape_factor = _qr_factor(np.sqrt(p_prior) * b_s, np.sqrt(q_meas) * b_z)
     else:
-        b_c, b_v, b_s, b_z = _update_terms(ctx, gain)
-        if certified:
+        try:
             shape_factor = trace_min_sum([b_s, b_z])
-        else:
-            shape_factor = _qr_factor(np.sqrt(p_prior) * b_s, np.sqrt(q_meas) * b_z)
-        posterior = _computed_belief(center, _qr_factor(b_c, b_v), shape_factor, "posterior", k)
+        except ValueError as err:
+            raise NumericsError(f"posterior shape {err}", k) from err
+    posterior = _computed_belief(center, _qr_factor(b_c, b_v), shape_factor, "posterior", k)
     trace_cov = _sq_norm(posterior.cov_factor)
     trace_shape = _sq_norm(posterior.shape_factor)
     report = GainReport(

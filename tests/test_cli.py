@@ -21,7 +21,6 @@ from skf.validation import (
     check_eta_zero_reduction,
     check_gain_stationarity,
     check_recursion_containment,
-    run_all,
 )
 
 

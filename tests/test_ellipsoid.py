@@ -5,6 +5,8 @@ sampling, dense beta grids, simplex sampling) rather than by the code
 under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from skf.ellipsoid import (
     Ellipsoid,
     affine_image,
     contains,
+    membership_form,
     pair_sum_shape,
     sample_boundary,
     trace_min_sum,
@@ -119,8 +122,36 @@ class TestContains:
             contains(e, [0.0, 0.0])
 
     def test_negative_slack_rejected(self):
-        with pytest.raises(ValueError):
-            contains(Ellipsoid(0.0, 1.0), 0.0, slack=-1.0)
+        # a slack that is negative or not finite, and a non-finite point
+        for slack in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="slack"):
+                contains(Ellipsoid(0.0, 1.0), 0.0, slack=slack)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                contains(Ellipsoid(np.zeros(2), np.eye(2)), [0.0, bad])
+
+
+class TestMembershipForm:
+    def test_same_form_for_any_factor(self):
+        # an eigh factor and a triangular factor of the same S give the same
+        # form, 1 on the boundary points each of them maps out
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            s = random_spd(rng, n, scale=10.0 ** rng.uniform(-3.0, 3.0))
+            c = rng.standard_normal(n)
+            w, v = np.linalg.eigh(s)
+            factors = (v * np.sqrt(w), np.linalg.cholesky(s))
+            u = rng.standard_normal(n)
+            u /= np.linalg.norm(u)
+            for through in factors:
+                x = c + through @ u
+                for factor in factors:
+                    assert membership_form(c, factor, x) == pytest.approx(1.0, rel=0, abs=1e-12)
+
+    def test_singular_factor_gives_infinity(self):
+        assert membership_form([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], [0.5, 0.0]) == math.inf
+        assert membership_form([0.0], [[0.0]], [0.0]) == math.inf
 
 
 class TestPairSumShape:
@@ -145,8 +176,9 @@ class TestPairSumShape:
         assert np.allclose(np.diag(out), [9.11096096, 4.21359436], atol=1e-7)
 
     def test_nonpositive_beta_rejected(self):
-        with pytest.raises(ValueError, match="beta"):
-            pair_sum_shape(np.eye(2), np.eye(2), 0.0)
+        for beta in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="beta must be a positive finite number"):
+                pair_sum_shape(np.eye(2), np.eye(2), beta)
 
     def test_invalid_terms_rejected(self):
         # the terms follow the package's matrix rule

@@ -23,7 +23,6 @@ from skf.experiments import (
 from skf.filter import (
     FilterConfig,
     FilterError,
-    GainReport,
     NumericsError,
     SingularInnovationError,
     StateBelief,
@@ -216,8 +215,9 @@ class TestGain:
 
     def test_nonpositive_beta_rejected(self):
         belief = StateBelief([0.0], [[1.0]], [[1.0]], "prior", 1)
-        with pytest.raises(ValueError, match="beta"):
-            skf_gain(belief, scalar_linearization(), FilterConfig(), 0.0)
+        for beta in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="beta must be a positive finite number"):
+                skf_gain(belief, scalar_linearization(), FilterConfig(), beta)
 
     def test_singular_bracket_reports_condition(self):
         belief = StateBelief([0.0], [[1.0]], [[0.0 + 1e-13]], "prior", 1)
@@ -362,7 +362,6 @@ class TestUpdate:
         for _ in range(15):
             belief, lin = random_update_setup(rng, n=2, m=2)
             cfg = FilterConfig(eta=0.5)
-            m = scalar_model()
             c_z, s_z = noise_matrices(lin)
             post_model = NonlinearModel(
                 state_dim=2,
@@ -387,31 +386,27 @@ class TestUpdate:
 
     @pytest.mark.parametrize("regime", sorted(REGIME_SETUPS))
     def test_posterior_shape_formula(self, regime):
-        # one inflation pair serves the gain and the shape: p T1 + q T2 with
-        # (1 + 1/beta, 1 + beta) when both set terms are live, else 1 or 0;
-        # a certified kink takes its limit instead: at beta -> inf the prior
-        # itself, at beta -> 0 the trace-minimal pair at K0 = 1/h
+        # for eta > 0, every regime takes the trace-minimal pair of the gain's
+        # own terms, (sqrt T1 + sqrt T2)^2, and a point term adds nothing: at
+        # beta -> inf (K = 0) that is the prior itself, to rounding; at eta = 0
+        # the shape is p T1 + q T2 at the conventional beta = 1
         cov, shape, eta, sz = REGIME_SETUPS[regime]
         prior = StateBelief([0.0], [[cov]], [[shape]], "prior", 1)
         post, report = skf_update(prior, np.array([1.0]), scalar_model(sz=sz), FilterConfig(eta), 1)
         assert report.regime == regime
-        if regime == "beta_to_inf":
-            for name in ("center", "cov", "shape", "cov_factor", "shape_factor"):
-                assert np.array_equal(getattr(post, name), getattr(prior, name))
-            return
-        if regime == "beta_to_zero":
-            k = report.gain[0, 0]
-            t_prior, t_meas = (1 - k) ** 2 * shape, k**2 * sz
-            expected = (np.sqrt(t_prior) + np.sqrt(t_meas)) ** 2
-            if t_prior <= EPS_TRACE:  # a point term adds nothing
-                expected = t_meas
-            assert post.shape[0, 0] == pytest.approx(expected, rel=1e-12)
-            return
-        beta = report.beta_star
-        p, q = (1.0, 0.0) if regime == "single_set" else (1 + 1 / beta, 1 + beta)
         k = report.gain[0, 0]
-        expected = p * (1 - k) ** 2 * shape + q * k**2 * sz
+        t_prior, t_meas = (1 - k) ** 2 * shape, k**2 * sz
+        if regime == "eta_zero":
+            beta = report.beta_star
+            expected = (1 + 1 / beta) * t_prior + (1 + beta) * t_meas
+        else:
+            expected = sum(np.sqrt(t) for t in (t_prior, t_meas) if t > EPS_TRACE) ** 2
         assert post.shape[0, 0] == pytest.approx(expected, rel=1e-12)
+        if regime == "beta_to_inf":
+            assert np.array_equal(post.center, prior.center)
+            assert np.array_equal(report.gain, np.zeros((1, 1)))
+            for name in ("cov", "shape"):
+                assert getattr(post, name) == pytest.approx(getattr(prior, name), rel=1e-15, abs=0)
 
     def test_zero_set_terms_collapse_shape(self):
         # no bounded uncertainty anywhere: shape recursion returns zero

@@ -37,8 +37,10 @@ from skf.filter import (
     _beta_cost,
     _update_terms,
     skf_gain,
+    skf_predict,
+    skf_update,
 )
-from skf.model import Linearization
+from skf.model import Linearization, linearize_measurement
 from skf.optimizer import ScalarProblem, minimize_scalar
 from skf.validation import _CONTAINMENT_TOL, _linear_system, _recursion_forms
 
@@ -435,6 +437,24 @@ def test_scalar_kink_tests_certify_exactly_without_interior_zero(spreads, maps, 
     if regime is not None:
         result = minimize_scalar(ScalarProblem(objective=_beta_cost(ctx)))
         assert _LIMIT_REGIMES[result.regime] == regime
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 6), st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+def test_posterior_shape_is_at_most_the_pair_bound(n, m, eta, seed):
+    # the posterior shape, trace_min_sum of the gain's own blocks, is never
+    # above p T1 + q T2 at the reported beta for the same gain; a tall h_x
+    # (m > n) leaves beta -> 0 to the search, whose limit keeps its bracket end
+    rng = np.random.default_rng(seed)
+    model, belief = _linear_system(rng, n, m)
+    prior = skf_predict(belief, model, np.zeros(0), 1)
+    _, report = skf_update(prior, rng.standard_normal(m), model, FilterConfig(eta), 1)
+    lin = linearize_measurement(model, prior.center, 1)
+    _, _, b_s, b_z = _update_terms(_UpdateContext(prior, lin, eta), report.gain)
+    beta = report.beta_star
+    pair = (1 + 1 / beta) * float(np.sum(b_s * b_s)) + (1 + beta) * float(np.sum(b_z * b_z))
+    assert report.regime != "single_set"
+    assert report.trace_shape <= (1.0 + 1e-12) * pair
 
 
 # --- recursion containment -------------------------------------------------
