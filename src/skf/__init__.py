@@ -13,7 +13,6 @@ from .ellipsoid import (
     Ellipsoid,
     affine_image,
     contains,
-    membership_form,
     pair_sum_shape,
     sample_boundary,
     trace_min_sum,
@@ -81,7 +80,6 @@ __all__ = [
     "example2_config",
     "linearize_measurement",
     "linearize_process",
-    "membership_form",
     "minimize_scalar",
     "pair_sum_shape",
     "run_trial",

@@ -25,7 +25,7 @@ import numpy as np
 
 TOL_SYM = 1e-10  # asymmetry / PSD deficit tolerated at unit scale
 EPS_PD = 1e-12  # smallest eigenvalue below which a shape counts as degenerate
-EPS_TRACE = 1e-14  # trace below which a summand counts as a single point
+EPS_TRACE = 1e-14  # trace at or below which an input set counts as a single point
 
 
 class DegenerateEllipsoidError(ValueError):
@@ -182,11 +182,18 @@ def membership_form(center, factor, x) -> float:
     For a square factor L of S = L L^T it is (x - c)^T S^-1 (x - c), whichever
     factor L is (triangular, or V sqrt(Lambda) of an eigendecomposition); its
     rounding grows with cond(L) = cond(S)^(1/2). +inf where the solve fails:
-    L is singular, or the result is not finite.
+    L is singular, or the result is not finite. A factor that is not square,
+    or a center or point of another size, raises ``ValueError``.
     """
-    d = np.atleast_1d(np.asarray(x, dtype=float)) - center
+    factor = np.atleast_2d(np.asarray(factor, dtype=float))
+    n = factor.shape[0]
+    if factor.shape != (n, n):
+        raise ValueError(f"factor must be square, got {factor.shape}")
+    center, x = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (center, x))
+    if center.shape != (n,) or x.shape != (n,):
+        raise ValueError(f"center has shape {center.shape} and point {x.shape}, expected ({n},)")
     try:
-        z = np.linalg.solve(np.atleast_2d(factor), d)
+        z = np.linalg.solve(factor, x - center)
     except np.linalg.LinAlgError:
         return math.inf
     form = float(z @ z)
@@ -233,8 +240,10 @@ def trace_min_sum(factors: Sequence) -> np.ndarray:
     Takes a factor L_k (n rows) of each term's shape S_k = L_k L_k^T and
     returns an n x n factor of ``(sum_k r_k) * (sum_k S_k / r_k)``, with
     r_k = sqrt(tr S_k) = |L_k|_F: one QR of the terms weighted by
-    sqrt(sum_j r_j / r_k). A term with tr S_k <= ``EPS_TRACE`` is a point and
-    adds nothing; the center, the sum of the term centers, is left to the
+    sqrt(sum_j r_j) / sqrt(r_k), two roots so that a tiny r_k cannot
+    overflow the quotient. A term whose factor is exactly zero is a point
+    and adds nothing; any other term, however small, is kept, so the result
+    bounds the sum. The center, the sum of the term centers, is left to the
     caller. A ``ValueError`` names, by index, a term that is not finite or
     has another row count than the first.
     """
@@ -249,11 +258,11 @@ def trace_min_sum(factors: Sequence) -> np.ndarray:
         roots.append(float(np.linalg.norm(term)))
         if not math.isfinite(roots[-1]):  # a NaN or inf entry, or a trace beyond float range
             raise _failure("term {}", i, "factor has non-finite entries")
-    live = [(term, r) for term, r in zip(terms, roots) if r * r > EPS_TRACE]
+    live = [(term, r) for term, r in zip(terms, roots) if r > 0.0]
     if not live:
         return np.zeros((n, n))
-    total = sum(r for _, r in live)
-    return _qr_factor(*(np.sqrt(total / r) * term for term, r in live))
+    root_total = math.sqrt(sum(r for _, r in live))
+    return _qr_factor(*(term * (root_total / math.sqrt(r)) for term, r in live))
 
 
 def sample_boundary(e: Ellipsoid, count: int, seed: int) -> np.ndarray:

@@ -393,9 +393,12 @@ def skf_update(
     ``trace_min_sum`` of the gain's blocks B_S = (I - K H_x) L_S and
     B_z = K H_b L_Sz, in every regime: at an interior beta* the envelope
     identity beta*^2 ||B_z||^2 = ||B_S||^2 makes it p T1 + q T2 without the
-    search's tolerance, K = 0 gives a factor of the prior shape, and a point
-    term is dropped. Any beta > 0 bounds the set of a fixed gain, so the
-    shape holds the set in every regime.
+    search's tolerance, and K = 0 gives a factor of the prior shape. Only
+    the block of a point input set is dropped (trace at most ``EPS_TRACE``,
+    as in the gain); a small live block is kept, such as B_S at a limit
+    regime, of extent O(1/p). The trace-minimal bound of the two live blocks
+    holds their Minkowski sum, so for every gain the shape holds the set
+    the gain leaves, up to rounding.
     """
     if belief.kind != "prior":
         raise ValueError("update starts from a prior belief")
@@ -453,8 +456,10 @@ def skf_update(
         # eta = 0 takes the rule below too.
         shape_factor = _qr_factor(np.sqrt(p_prior) * b_s, np.sqrt(q_meas) * b_z)
     else:
+        # a block whose input set is a point is dropped, as in the gain;
+        # trace_min_sum keeps every other block, however small
         try:
-            shape_factor = trace_min_sum([b_s, b_z])
+            shape_factor = trace_min_sum([prior_set_live * b_s, meas_set_live * b_z])
         except ValueError as err:
             raise NumericsError(f"posterior shape {err}", k) from err
     posterior = _computed_belief(center, _qr_factor(b_c, b_v), shape_factor, "posterior", k)

@@ -149,6 +149,14 @@ class TestMembershipForm:
                 for factor in factors:
                     assert membership_form(c, factor, x) == pytest.approx(1.0, rel=0, abs=1e-12)
 
+    def test_sizes_checked(self):
+        with pytest.raises(ValueError, match="expected \\(2,\\)"):
+            membership_form([0.0, 0.0], np.eye(2), [1.0])
+        with pytest.raises(ValueError, match="expected \\(1,\\)"):
+            membership_form([0.0, 0.0], [[1.0]], [0.0])
+        with pytest.raises(ValueError, match="square"):
+            membership_form([0.0, 0.0], np.ones((2, 3)), [0.0, 0.0])
+
     def test_singular_factor_gives_infinity(self):
         assert membership_form([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], [0.5, 0.0]) == math.inf
         assert membership_form([0.0], [[0.0]], [0.0]) == math.inf
@@ -235,6 +243,15 @@ class TestTraceMinSum:
         # a zero-trace term is a point: it adds nothing to the shape
         out = trace_min_sum([np.zeros((2, 2)), np.eye(2)])
         assert np.allclose(out @ out.T, np.eye(2))
+
+    def test_small_terms_are_kept(self):
+        # only an exactly zero factor is a point: in one dimension the bound
+        # is the exact sum, however small a term is against the other
+        for small in (1e-9, 1e-200, 5e-324):
+            out = trace_min_sum([[[small]], [[1.0]]])
+            assert out[0, 0] == 1.0 + small
+        out = trace_min_sum([1e-9 * np.eye(2), np.eye(2)])
+        assert np.allclose(out @ out.T, (1.0 + 1e-9) ** 2 * np.eye(2), rtol=1e-15, atol=0)
 
     def test_all_zero_terms_give_point(self):
         out = trace_min_sum([np.zeros((1, 1)), np.zeros((1, 1))])

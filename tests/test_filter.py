@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import skf.filter as filter_module
-from skf.ellipsoid import EPS_TRACE
 from skf.experiments import (
     build_model,
     example1_config,
@@ -387,9 +386,10 @@ class TestUpdate:
     @pytest.mark.parametrize("regime", sorted(REGIME_SETUPS))
     def test_posterior_shape_formula(self, regime):
         # for eta > 0, every regime takes the trace-minimal pair of the gain's
-        # own terms, (sqrt T1 + sqrt T2)^2, and a point term adds nothing: at
-        # beta -> inf (K = 0) that is the prior itself, to rounding; at eta = 0
-        # the shape is p T1 + q T2 at the conventional beta = 1
+        # own terms, (sqrt T1 + sqrt T2)^2, with any live term kept however
+        # small: at beta -> inf (K = 0) that is the prior itself, to rounding,
+        # and at a point measurement set T2 = 0; at eta = 0 the shape is
+        # p T1 + q T2 at the conventional beta = 1
         cov, shape, eta, sz = REGIME_SETUPS[regime]
         prior = StateBelief([0.0], [[cov]], [[shape]], "prior", 1)
         post, report = skf_update(prior, np.array([1.0]), scalar_model(sz=sz), FilterConfig(eta), 1)
@@ -400,7 +400,7 @@ class TestUpdate:
             beta = report.beta_star
             expected = (1 + 1 / beta) * t_prior + (1 + beta) * t_meas
         else:
-            expected = sum(np.sqrt(t) for t in (t_prior, t_meas) if t > EPS_TRACE) ** 2
+            expected = (np.sqrt(t_prior) + np.sqrt(t_meas)) ** 2
         assert post.shape[0, 0] == pytest.approx(expected, rel=1e-12)
         if regime == "beta_to_inf":
             assert np.array_equal(post.center, prior.center)

@@ -24,6 +24,7 @@ from skf.ellipsoid import (
     _check_psd,
     _qr_factor,
     _scale_tol,
+    membership_form,
     pair_sum_shape,
     symmetrize,
     trace_min_sum,
@@ -455,6 +456,30 @@ def test_posterior_shape_is_at_most_the_pair_bound(n, m, eta, seed):
     pair = (1 + 1 / beta) * float(np.sum(b_s * b_s)) + (1 + beta) * float(np.sum(b_z * b_z))
     assert report.regime != "single_set"
     assert report.trace_shape <= (1.0 + 1e-12) * pair
+
+
+def test_searched_limit_shape_holds_the_gains_worst_point():
+    # a tall h_x leaves beta -> 0 to the search, whose gain at beta = e^-20
+    # leaves B_S of extent O(e^-20): live, though its trace is below
+    # EPS_TRACE. With one state the worst point of c + B_S u1 + B_z u2 is
+    # c + |B_S| + ||B_z||; dropping B_S would miss it by about
+    # 2 |B_S| / ||B_z|| in the form.
+    searched = 0
+    for seed in range(12):
+        model, belief = _linear_system(np.random.default_rng(seed), 1, 2)
+        prior = skf_predict(belief, model, np.zeros(0), 1)
+        post, report = skf_update(prior, np.zeros(2), model, FilterConfig(0.5), 1)
+        if report.regime != "beta_to_zero":
+            continue
+        searched += 1
+        assert report.evals > 0
+        lin = linearize_measurement(model, prior.center, 1)
+        _, _, b_s, b_z = _update_terms(_UpdateContext(prior, lin, 0.5), report.gain)
+        assert 0.0 < float(np.sum(b_s * b_s)) <= EPS_TRACE
+        assert np.abs(b_s).sum() > 1e-11 * np.linalg.norm(b_z)
+        worst = post.center + np.abs(b_s).sum() + np.linalg.norm(b_z)
+        assert membership_form(post.center, post.shape_factor, worst) <= 1.0 + _CONTAINMENT_TOL
+    assert searched >= 5
 
 
 # --- recursion containment -------------------------------------------------
