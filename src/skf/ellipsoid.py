@@ -105,6 +105,26 @@ def _lower_mask(n: int, cols: int) -> np.ndarray:
     return mask
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """Read-only n x n identity, kept per size."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """||a||_F, bit for bit ``np.linalg.norm(a)``: the same dot over a's memory order.
+
+    ``np.linalg.norm`` ravels in memory order ("K") and takes the root of
+    the vector's dot with itself; this does the same without its wrapper's
+    call overhead, which dominates 1 x 1 steps. ``np.vdot`` ravels in C
+    order, which sums a Fortran-ordered array in another order.
+    """
+    flat = a.ravel(order="K")
+    return math.sqrt(flat @ flat)
+
+
 def _qr_factor(*blocks: np.ndarray) -> np.ndarray:
     """The n x n lower-triangular L with L L^T = sum_k B_k B_k^T, for blocks of n rows.
 
@@ -116,7 +136,7 @@ def _qr_factor(*blocks: np.ndarray) -> np.ndarray:
     stacked = np.concatenate(blocks, axis=1)
     n, width = stacked.shape
     if n == 1:  # L is the row's norm; np.linalg.qr's call overhead dominates 1 x 1 steps
-        return np.linalg.norm(stacked, keepdims=True)
+        return np.array([[_frobenius(stacked)]])
     raw, _ = np.linalg.qr(stacked.T, mode="raw")
     cols = min(n, width)
     factor = np.where(_lower_mask(n, cols), raw[:, :cols], 0.0)
@@ -249,16 +269,17 @@ def trace_min_sum(factors: Sequence) -> np.ndarray:
     """
     if len(factors) < 1:
         raise ValueError("a sum needs at least one term")
-    terms = [np.atleast_2d(np.asarray(f, dtype=float)) for f in factors]
+    terms = [np.array(f, dtype=float, copy=None, ndmin=2) for f in factors]
     n = terms[0].shape[0]
-    roots = []
+    live = []
     for i, term in enumerate(terms):
         if term.ndim != 2 or term.shape[0] != n:
             raise _failure("term {}", i, f"factor has shape {term.shape}, expected {n} rows")
-        roots.append(float(np.linalg.norm(term)))
-        if not math.isfinite(roots[-1]):  # a NaN or inf entry, or a trace beyond float range
+        r = _frobenius(term)
+        if not math.isfinite(r):  # a NaN or inf entry, or a trace beyond float range
             raise _failure("term {}", i, "factor has non-finite entries")
-    live = [(term, r) for term, r in zip(terms, roots) if r > 0.0]
+        if r > 0.0:
+            live.append((term, r))
     if not live:
         return np.zeros((n, n))
     root_total = math.sqrt(sum(r for _, r in live))

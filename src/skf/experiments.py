@@ -346,10 +346,10 @@ def _uniform_sampler(factor: np.ndarray):
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         direction = rng.standard_normal(n)
-        norm = np.linalg.norm(direction)
+        norm = math.sqrt(direction @ direction)  # np.linalg.norm's value, without its wrapper
         while norm < 1e-12:
             direction = rng.standard_normal(n)
-            norm = np.linalg.norm(direction)
+            norm = math.sqrt(direction @ direction)
         radius = rng.uniform() ** (1.0 / n)
         return factor @ (radius * direction / norm)
 
@@ -432,7 +432,7 @@ def simulate_truth(cfg: ExperimentConfig, rng: np.random.Generator):
         if kicks is not None and a:
             a[0] = a[0] + np.concatenate([np.zeros(2), kicks[k - 1]])
         x = np.asarray(model.f(x, u, w, a, k), dtype=float)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ExperimentError(f"truth overflowed at step {k}: {x}")
         v = draw_v(rng)
         b = draw_b(rng)
@@ -467,11 +467,12 @@ def run_trial(cfg: ExperimentConfig, trial: int = 0) -> Trial:
             ekf_x, ekf_factor = ekf_step(ekf_x, ekf_factor, u, y, cfg.model, k)
         except Exception as err:
             raise ExperimentError(f"trial {trial} failed at step {k}: {err}") from err
-        truth = states[k]
+        truth = states[k][dims]
         ekf_p = ekf_factor @ ekf_factor.T
         tracks = (belief.center, belief.cov, belief.shape, ekf_x, ekf_p, report.beta_star)
-        dists = (float(np.linalg.norm(x[dims] - truth[dims])) for x in (belief.center, ekf_x))
-        rows.append((*tracks, *dists))
+        # each distance is np.linalg.norm's value, the root of d @ d, without its wrapper
+        d_skf, d_ekf = belief.center[dims] - truth, ekf_x[dims] - truth
+        rows.append((*tracks, math.sqrt(d_skf @ d_skf), math.sqrt(d_ekf @ d_ekf)))
     # each step's values are stacked once, in the field order of Trial
     return Trial(states[1:], measurements, *map(np.array, zip(*rows)))
 

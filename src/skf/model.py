@@ -13,8 +13,8 @@ where a provider's value is checked; ``skf.filter`` re-exports both.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,12 +51,14 @@ def wrap_angles(residual: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
 
 
 def _matrix(value) -> np.ndarray:
-    return np.atleast_2d(np.asarray(value, dtype=float))
+    """``value`` as a float array of at least two dimensions (``np.atleast_2d``), in one call."""
+    return np.array(value, dtype=float, copy=None, ndmin=2)
 
 
-def _serve(value, *args) -> np.ndarray:
-    """A field's matrix at ``args``: a stored constant as is, a callable's value converted."""
-    return _matrix(value(*args)) if callable(value) else value
+@functools.cache
+def _process_shape_names(count: int) -> tuple[str, ...]:
+    """The field names ``ubb_process_shapes[i]`` of ``count`` bounded process shapes."""
+    return tuple(f"ubb_process_shapes[{i}]" for i in range(count))
 
 
 def _constant(value, name: str) -> np.ndarray:
@@ -206,16 +208,31 @@ def central_jacobian(func: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -
     return np.column_stack(cols)
 
 
-def _jacobian(analytic, args: tuple, func: Callable, x0: np.ndarray):
-    """The analytic Jacobian at ``args`` if given, else central differences of func at x0."""
+def _jacobian(analytic, at: tuple, func: Callable, args: tuple, slot: int, item: int | None = None):
+    """The analytic Jacobian at ``at`` if given, else central differences of ``func(*args)``.
+
+    A constant is served as stored, a callable's value converted. The
+    differences are taken in ``args[slot]``, or in its ``item``-th array
+    where the argument is a list (a bounded process term of f); the map
+    they difference is built only here, where no analytic Jacobian is given.
+    """
     if analytic is not None:
-        return _serve(analytic, *args)
-    return central_jacobian(lambda z: np.atleast_1d(func(z)), x0)
+        return _matrix(analytic(*at)) if callable(analytic) else analytic
+
+    def moved(z):
+        new = list(args)
+        if item is None:
+            new[slot] = z
+        else:
+            new[slot] = [*args[slot][:item], z, *args[slot][item + 1 :]]
+        return np.atleast_1d(func(*new))
+
+    return central_jacobian(moved, args[slot] if item is None else args[slot][item])
 
 
 def _check_finite(value: np.ndarray, what: str, k: int) -> np.ndarray:
-    value = np.atleast_1d(np.asarray(value, dtype=float))
-    if not np.all(np.isfinite(value)):
+    value = np.array(value, dtype=float, copy=None, ndmin=1)
+    if not np.isfinite(value).all():
         raise ModelEvaluationError(f"{what} is not finite at step {k}: {value}")
     return value
 
@@ -229,30 +246,25 @@ def linearize_process(
     finite, together with f_x, f_w, each f_a_i and the step's process
     noise factors; the zero disturbances are sized from those factors.
     """
-    x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
+    x_center = np.array(x_center, dtype=float, copy=None, ndmin=1)
     if x_center.size != m.state_dim:
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
     if np.size(u) != m.input_dim:
         raise ValueError(f"input has dimension {np.size(u)}, expected {m.input_dim}")
     l_u = _serve_psd(m, "process_noise_cov", k)
-    names = [f"ubb_process_shapes[{i}]" for i in range(len(m.ubb_process_shapes))]
-    factors = tuple(_serve_psd(m, name, k) for name in names)
+    names = _process_shape_names(len(m.ubb_process_shapes))
+    factors = tuple([_serve_psd(m, name, k) for name in names])
     w0 = np.zeros(l_u.shape[0])
     a0 = [np.zeros(f.shape[0]) for f in factors]
-    f_value = _check_finite(m.f(x_center, u, w0, a0, k), "process value", k)
+    args = (x_center, u, w0, a0, k)
+    f_value = _check_finite(m.f(*args), "process value", k)
 
     jac = m.jacobians
     at = (x_center, u, k)
-    f_x = _jacobian(jac.f_x, at, lambda x: m.f(x, u, w0, a0, k), x_center)
-    f_w = _jacobian(jac.f_w, at, lambda w: m.f(x_center, u, w, a0, k), w0)
-
-    def f_of_a(i, ai):
-        a = list(a0)
-        a[i] = ai
-        return m.f(x_center, u, w0, a, k)
-
+    f_x = _jacobian(jac.f_x, at, m.f, args, 0)
+    f_w = _jacobian(jac.f_w, at, m.f, args, 2)
     analytic_a = jac.f_a if jac.f_a is not None else (None,) * len(factors)
-    f_a = [_jacobian(analytic_a[i], at, partial(f_of_a, i), a0[i]) for i in range(len(factors))]
+    f_a = [_jacobian(analytic_a[i], at, m.f, args, 3, i) for i in range(len(factors))]
 
     return Linearization(
         f_value=f_value,
@@ -270,20 +282,21 @@ def linearize_measurement(m: NonlinearModel, x_center: np.ndarray, k: int) -> Li
     Returns the measurement value there, which must be finite, together
     with h_x, h_v, h_b and the step's measurement noise factors.
     """
-    x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
+    x_center = np.array(x_center, dtype=float, copy=None, ndmin=1)
     if x_center.size != m.state_dim:
         raise ValueError(f"center has dimension {x_center.size}, expected {m.state_dim}")
     l_cz = _serve_psd(m, "meas_noise_cov", k)
     l_sz = _serve_psd(m, "ubb_meas_shape", k)
     v0 = np.zeros(l_cz.shape[0])
     b0 = np.zeros(l_sz.shape[0])
-    h_value = _check_finite(m.h(x_center, v0, b0, k), "measurement value", k)
+    args = (x_center, v0, b0, k)
+    h_value = _check_finite(m.h(*args), "measurement value", k)
 
     jac = m.jacobians
     at = (x_center, k)
-    h_x = _jacobian(jac.h_x, at, lambda x: m.h(x, v0, b0, k), x_center)
-    h_v = _jacobian(jac.h_v, at, lambda v: m.h(x_center, v, b0, k), v0)
-    h_b = _jacobian(jac.h_b, at, lambda b: m.h(x_center, v0, b, k), b0)
+    h_x = _jacobian(jac.h_x, at, m.h, args, 0)
+    h_v = _jacobian(jac.h_v, at, m.h, args, 1)
+    h_b = _jacobian(jac.h_b, at, m.h, args, 2)
 
     return Linearization(
         h_value=h_value,

@@ -87,15 +87,19 @@ class ScalarResult(NamedTuple):
 
 
 class _Point(NamedTuple):
+    """An evaluated point; ``g`` is G = log(up) - log(down), None where a part is 0."""
+
     t: float
     value: float
     up: float
     down: float
+    g: float | None
 
 
 def _eval(objective, t: float) -> _Point:
     beta = math.exp(t)
-    value, up, down = (float(v) for v in objective(beta))
+    value, up, down = objective(beta)
+    value, up, down = float(value), float(up), float(down)
     if not math.isfinite(value):
         raise OptimizerError(f"objective is not finite at beta = exp({t:.6g}) = {beta:.6g}")
     if not (0.0 <= up < math.inf and 0.0 <= down < math.inf):
@@ -103,14 +107,8 @@ def _eval(objective, t: float) -> _Point:
             f"slope parts must be finite and non-negative at beta = {beta:.6g}, "
             f"got up = {up!r}, down = {down!r}"
         )
-    return _Point(t, value, up, down)
-
-
-def _log_ratio(p: _Point) -> float | None:
-    """G = log(up) - log(down), or None where a part is 0."""
-    if p.up > 0.0 and p.down > 0.0:
-        return math.log(p.up) - math.log(p.down)
-    return None
+    g = math.log(up) - math.log(down) if up > 0.0 and down > 0.0 else None
+    return _Point(t, value, up, down, g)
 
 
 def _fixed_point(p: _Point) -> float | None:
@@ -120,8 +118,7 @@ def _fixed_point(p: _Point) -> float | None:
     are locally constant; the search takes it from one end, before it has
     three points to fit.
     """
-    g = _log_ratio(p)
-    return None if g is None else p.t - 0.5 * g
+    return None if p.g is None else p.t - 0.5 * p.g
 
 
 def _linear_fractional(p1: _Point, p2: _Point, p3: _Point) -> float | None:
@@ -132,7 +129,7 @@ def _linear_fractional(p1: _Point, p2: _Point, p3: _Point) -> float | None:
     delta = 0 it is the secant step in beta. Returns None where G is
     undefined at a point, or the fit has no zero.
     """
-    g1, g2, g3 = _log_ratio(p1), _log_ratio(p2), _log_ratio(p3)
+    g1, g2, g3 = p1.g, p2.g, p3.g
     if g1 is None or g2 is None or g3 is None:
         return None
     # every expm1 argument below stays within double range
@@ -161,8 +158,8 @@ def _root(objective, lo: _Point, hi: _Point):
     Returns ``(t, last evaluated point, evaluations)``.
     """
     a, b = lo, hi
-    ends = [p for p in (a, b) if _log_ratio(p) is not None]
-    cur = max(ends, key=lambda p: abs(_log_ratio(p))) if ends else a
+    ends = [p for p in (a, b) if p.g is not None]
+    cur = max(ends, key=lambda p: abs(p.g)) if ends else a
     last = (lo, hi)  # the evaluated points, in order
     for evals in range(MAX_ITERS + 1):
         if b.t - a.t <= TOL:

@@ -13,6 +13,7 @@ import pytest
 from skf.ellipsoid import (
     DegenerateEllipsoidError,
     Ellipsoid,
+    _qr_factor,
     affine_image,
     contains,
     membership_form,
@@ -212,7 +213,105 @@ def random_terms(rng, n, count):
     return terms, np.sum([t.center for t in terms], axis=0)
 
 
+def wide_entries(rng, shape):
+    """Entries of either sign and magnitude 1e-300 .. 1e300, a fifth of them zero, one subnormal."""
+    x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300.0, 300.0, size=shape)
+    x[rng.random(shape) < 0.2] = 0.0
+    x.flat[rng.integers(x.size)] = 5e-324
+    return x
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def qr_factor_reference(*blocks):
+    """``_qr_factor`` with its one-row case taken by ``np.linalg.norm``, as first written."""
+    stacked = np.concatenate(blocks, axis=1)
+    if stacked.shape[0] == 1:
+        return np.linalg.norm(stacked, keepdims=True)
+    return _qr_factor(*blocks)
+
+
+def trace_min_sum_reference(factors):
+    """``trace_min_sum`` with every norm taken by ``np.linalg.norm``, as first written."""
+    if len(factors) < 1:
+        raise ValueError("a sum needs at least one term")
+    terms = [np.atleast_2d(np.asarray(f, dtype=float)) for f in factors]
+    n = terms[0].shape[0]
+    roots = []
+    for i, term in enumerate(terms):
+        if term.ndim != 2 or term.shape[0] != n:
+            raise ValueError(f"term {i}: factor has shape {term.shape}, expected {n} rows")
+        roots.append(float(np.linalg.norm(term)))
+        if not math.isfinite(roots[-1]):
+            raise ValueError(f"term {i}: factor has non-finite entries")
+    live = [(term, r) for term, r in zip(terms, roots) if r > 0.0]
+    if not live:
+        return np.zeros((n, n))
+    root_total = math.sqrt(sum(r for _, r in live))
+    return qr_factor_reference(*(term * (root_total / math.sqrt(r)) for term, r in live))
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the message of the ``ValueError`` it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return str(err)
+
+
+class TestQrFactor:
+    def test_one_row_is_the_norm_bit_for_bit(self):
+        # squares of entries near 1e300 overflow and near 1e-300 underflow;
+        # both forms then give inf or the same rounded sum
+        rng = np.random.default_rng(17)
+        with np.errstate(over="ignore"):
+            for _ in range(2000):
+                blocks = [wide_entries(rng, (1, int(w))) for w in rng.integers(1, 6, size=2)]
+                if rng.random() < 0.3:  # moderate entries, where the order of the sum shows
+                    blocks = [rng.standard_normal(b.shape) for b in blocks]
+                assert same_bits(_qr_factor(*blocks), qr_factor_reference(*blocks))
+
+
 class TestTraceMinSum:
+    def test_bits_match_the_norm_reference(self):
+        # random factor lists, some Fortran-ordered or transposed, some with a
+        # zero, non-finite, overflowing or mis-sized term: the same factor bit
+        # for bit, or the same rejection
+        rng = np.random.default_rng(23)
+        kinds = {"bits": 0, "rejected": 0}
+        with np.errstate(over="ignore"):
+            for _ in range(1500):
+                n = int(rng.integers(1, 5))
+                factors = []
+                for _ in range(int(rng.integers(1, 4))):
+                    cols = int(rng.integers(1, 6))
+                    term = rng.standard_normal((n, cols)) * 10.0 ** rng.uniform(-8.0, 8.0)
+                    draw = rng.random()
+                    if draw < 0.1:
+                        term = wide_entries(rng, (n, cols))
+                    elif draw < 0.2:
+                        term = np.zeros((n, cols))
+                    elif draw < 0.35:
+                        term = np.asfortranarray(term)
+                    elif draw < 0.5:
+                        term = rng.standard_normal((cols, n)).T
+                    elif draw < 0.55:
+                        term[rng.integers(n), rng.integers(cols)] = rng.choice([np.nan, np.inf])
+                    elif draw < 0.6:
+                        term = rng.standard_normal((n + 1, cols))
+                    factors.append(term)
+                expected = outcome(trace_min_sum_reference, factors)
+                got = outcome(trace_min_sum, factors)
+                if isinstance(expected, str):
+                    kinds["rejected"] += 1
+                    assert got == expected
+                else:
+                    kinds["bits"] += 1
+                    assert same_bits(got, expected)
+        assert min(kinds.values()) >= 100
+
     def test_two_unit_balls(self):
         out = trace_min_sum([np.eye(2), np.eye(2)])
         assert out.shape == (2, 2)

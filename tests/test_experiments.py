@@ -239,8 +239,15 @@ class TestRunTrial:
         for name in ("skf_cov", "skf_shape", "ekf_cov"):
             assert getattr(trial, name).shape == (5, 1, 1)
         assert np.all(trial.beta_star > 0)
-        assert np.all(trial.skf_dist >= 0) and np.all(trial.ekf_dist >= 0)
-        assert trial.skf_dist[-1] == np.linalg.norm(trial.skf_center[-1] - states[-1])
+        # every step's distances are np.linalg.norm's, bit for bit, on the position
+        # components: all of example1's state, example2's first two
+        for cfg in (cfg, example2_config(trials=1, steps=5)):
+            trial, dims = run_trial(cfg, 0), list(cfg.position_dims)
+            tracks = ((trial.skf_center, trial.skf_dist), (trial.ekf_state, trial.ekf_dist))
+            for track, dist in tracks:
+                norms = [np.linalg.norm(x[dims] - s[dims]) for x, s in zip(track, trial.true_state)]
+                assert np.array_equal(dist, norms)
+                assert np.all(dist >= 0)
 
     def test_shapes_stay_psd_over_run(self):
         cfg = example1_config(steps=50)
@@ -251,8 +258,9 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("make", [example1_config, example2_config])
     def test_trial_checks_no_matrix(self, make, monkeypatch):
-        # the config checked the initial belief once; a trial decomposes and checks nothing
-        cfg = make(trials=1, steps=5)
+        # the config checked the initial belief once; a trial decomposes and checks
+        # nothing, and takes every norm without np.linalg.norm's wrapper, at both kinds of eta
+        cfgs = [make(trials=1, steps=5, eta=eta) for eta in (0.5, 0.0)]
         calls = []
 
         def counted(name, fn):
@@ -262,11 +270,12 @@ class TestRunTrial:
 
             return wrapper
 
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "norm"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         check = counted("belief", StateBelief.__post_init__)
         monkeypatch.setattr(StateBelief, "__post_init__", check)
-        run_trial(cfg, 0)
+        for cfg in cfgs:
+            run_trial(cfg, 0)
         assert calls == []
 
     @pytest.mark.parametrize("make", [example1_config, example2_config])
