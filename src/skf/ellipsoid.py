@@ -10,8 +10,10 @@ sum of the centers, so callers that track centers add them directly.
 
 ``_check_psd`` applies the package's one matrix rule, to one matrix or to
 a stack with one ``eigh`` call that also gives each matrix's factor;
-``_scale_tol`` is its rounding bound. ``_qr_factor`` and ``trace_min_sum``
-compute factors from factors, PSD by construction, with one QR each.
+``_scale_tol`` is its rounding bound, relative to the matrix's largest
+entry, so the rule reads the same in any units. ``_qr_factor`` and
+``trace_min_sum`` compute factors from factors, PSD by construction, with
+one QR each. A set is a point only when its factor is exactly zero.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-TOL_SYM = 1e-10  # asymmetry / PSD deficit tolerated at unit scale
-EPS_PD = 1e-12  # smallest eigenvalue below which a shape counts as degenerate
-EPS_TRACE = 1e-14  # trace at or below which an input set counts as a single point
+TOL_SYM = 1e-10  # asymmetry / PSD deficit tolerated, relative to the largest entry
 
 
 class DegenerateEllipsoidError(ValueError):
@@ -38,13 +38,14 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def _scale_tol(m: np.ndarray) -> np.ndarray:
-    """TOL_SYM at unit scale, proportionally looser for large matrices.
+    """TOL_SYM times the largest |entry|: the rounding band of the matrix rule.
 
     Float products of symmetric factors carry asymmetry and negative
-    spectrum ~ eps * |entries|; deviations beyond this bound are bugs.
-    One tolerance per matrix of a stack; non-finite entries make it non-finite.
+    spectrum ~ eps * |entries|; deviations beyond this bound are bugs. The
+    band scales with the matrix, so it is 0 for a zero matrix. One
+    tolerance per matrix of a stack; non-finite entries make it non-finite.
     """
-    return TOL_SYM * np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    return TOL_SYM * np.abs(m).max(axis=(-2, -1), initial=0.0)
 
 
 def _failure(names, i, message: str) -> ValueError:
@@ -149,17 +150,17 @@ def _qr_factor(*blocks: np.ndarray) -> np.ndarray:
 class Ellipsoid:
     """Ellipsoid {x : (x - center)^T shape^{-1} (x - center) <= 1}.
 
-    The shape matrix must be symmetric within ``TOL_SYM`` and positive
-    semi-definite. Shapes whose smallest eigenvalue falls below ``EPS_PD``
-    are flagged degenerate: they remain valid operands of sums and affine
-    maps but reject membership queries. ``factor`` is the factor
-    V sqrt(Lambda) of the shape that the matrix rule returns.
+    The shape matrix must pass the matrix rule. A shape whose smallest
+    eigenvalue is within the rule's rounding band ``_scale_tol`` of 0 is
+    flagged degenerate: it remains a valid operand of sums and affine maps
+    but rejects membership queries. ``factor`` is the factor V sqrt(Lambda)
+    of the shape that the matrix rule returns.
     """
 
     center: np.ndarray
     shape: np.ndarray
     factor: np.ndarray = field(init=False, repr=False, compare=False)
-    _eigmin: float = field(init=False, repr=False, compare=False)
+    degenerate: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
@@ -167,15 +168,12 @@ class Ellipsoid:
             raise ValueError("center must be a vector of finite entries")
         # checked as a stack of one, so that a stack given as the shape fails
         (shape,), (eigmin,), (factor,) = _check_psd(np.atleast_2d(self.shape)[None], center.size)
-        self.__dict__.update(center=center, shape=shape, factor=factor, _eigmin=float(eigmin))
+        degenerate = bool(eigmin <= _scale_tol(shape))
+        self.__dict__.update(center=center, shape=shape, factor=factor, degenerate=degenerate)
 
     @property
     def dim(self) -> int:
         return self.center.size
-
-    @property
-    def degenerate(self) -> bool:
-        return self._eigmin < EPS_PD
 
 
 def affine_image(e: Ellipsoid, a, b=None) -> Ellipsoid:

@@ -27,7 +27,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .ellipsoid import EPS_TRACE, _check_psd
+from .ellipsoid import _check_psd
 from .filter import FilterConfig, StateBelief, ekf_step, skf_predict, skf_update
 from .model import AnalyticJacobians, NonlinearModel
 
@@ -336,12 +336,11 @@ def build_model(cfg: ExperimentConfig) -> NonlinearModel:
 def _uniform_sampler(factor: np.ndarray):
     """``rng -> x``, uniform on the solid ellipsoid {x : x^T S^{-1} x <= 1} of S = L L^T.
 
-    Takes the factor L. A shape whose trace, the squared norm of L, is at
-    most ``EPS_TRACE`` is a point: its draw is zero and consumes no random
-    numbers.
+    Takes the factor L. A shape whose factor is exactly zero is a point:
+    its draw is zero and consumes no random numbers.
     """
     n = factor.shape[0]
-    if float(np.sum(factor * factor)) <= EPS_TRACE:
+    if not factor.any():
         return lambda rng: np.zeros(n)
 
     def draw(rng: np.random.Generator) -> np.ndarray:

@@ -49,7 +49,6 @@ from typing import Literal
 import numpy as np
 
 from .ellipsoid import (
-    EPS_TRACE,
     Ellipsoid,
     _check_psd,
     _identity,
@@ -378,9 +377,13 @@ def _kink_tests(ctx: _UpdateContext, tr_shape: float):
     k0 = _solve(h_x, _identity(h_x.shape[0]))
     if k0 is None:
         return None, None, (to_inf, None)
-    k0_ln = k0 @ l_n
-    p_mat = k0 @ ((1.0 - eta) * ctx.meas_noise + eta * ctx.meas_set_shape) @ k0.T
-    to_zero = _kink_ratio(ctx.belief.shape_factor, p_mat, eta * eta * float(np.vdot(k0_ln, k0_ln)))
+    # a nearly singular H_x gives a huge K0 whose products overflow: the
+    # test then has a side that is not finite, and its ratio is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        k0_ln = k0 @ l_n
+        p_mat = k0 @ ((1.0 - eta) * ctx.meas_noise + eta * ctx.meas_set_shape) @ k0.T
+        right = eta * eta * float(np.vdot(k0_ln, k0_ln))
+        to_zero = _kink_ratio(ctx.belief.shape_factor, p_mat, right)
     if to_zero is not None and to_zero <= 1.0:
         return "beta_to_zero", k0, (to_inf, to_zero)
     return None, None, (to_inf, to_zero)
@@ -402,20 +405,20 @@ def skf_update(
     Otherwise one inflation pair (p, q) gives the gain, ``ctx.gain(p, q)``:
     (1 + 1/beta, 1 + beta) with both set terms live, beta minimizing J(beta)
     or, at eta = 0, where J does not depend on it, 1 by convention. A limit
-    regime the tests did not certify keeps its bracket end. A set term of
-    (essentially) zero trace is a point: it takes 0, a live term 1, and
-    beta = 1 is reported.
+    regime the tests did not certify keeps its bracket end. A set term
+    whose factor is exactly zero is a point, whatever the units: it takes
+    0, a live term 1, and beta = 1 is reported.
 
     The covariance is the Joseph form at the gain. For eta > 0 the shape is
     ``trace_min_sum`` of the gain's blocks B_S = (I - K H_x) L_S and
     B_z = K H_b L_Sz, in every regime: at an interior beta* the envelope
     identity beta*^2 ||B_z||^2 = ||B_S||^2 makes it p T1 + q T2 without the
-    search's tolerance, and K = 0 gives a factor of the prior shape. Only
-    the block of a point input set is dropped (trace at most ``EPS_TRACE``,
-    as in the gain); a small live block is kept, such as B_S at a limit
-    regime, of extent O(1/p). The trace-minimal bound of the two live blocks
-    holds their Minkowski sum, so for every gain the shape holds the set
-    the gain leaves, up to rounding.
+    search's tolerance, and K = 0 gives a factor of the prior shape. The
+    block of a point input set is exactly zero, so ``trace_min_sum`` drops
+    it; it keeps a small live block, such as B_S at a limit regime, of
+    extent O(1/p). The trace-minimal bound of the two live blocks holds
+    their Minkowski sum, so for every gain the shape holds the set the
+    gain leaves, up to rounding.
     """
     if belief.kind != "prior":
         raise ValueError("update starts from a prior belief")
@@ -429,8 +432,8 @@ def skf_update(
     # A point set term must not inflate the gain, or the beta search would
     # chase an inflation factor of 1 toward the bracket boundary.
     tr_shape = _sq_norm(belief.shape_factor)
-    prior_set_live = tr_shape > EPS_TRACE
-    meas_set_live = _sq_norm(ctx.hb_lsz) > EPS_TRACE
+    prior_set_live = tr_shape > 0.0
+    meas_set_live = _sq_norm(ctx.hb_lsz) > 0.0
     beta_star = 1.0
     evals = 0
     gain = None
@@ -473,10 +476,10 @@ def skf_update(
         # eta = 0 takes the rule below too.
         shape_factor = _qr_factor(math.sqrt(p_prior) * b_s, math.sqrt(q_meas) * b_z)
     else:
-        # a block whose input set is a point is dropped, as in the gain;
-        # trace_min_sum keeps every other block, however small
+        # trace_min_sum drops the exactly zero block of a point input set
+        # and keeps every other block, however small
         try:
-            shape_factor = trace_min_sum([prior_set_live * b_s, meas_set_live * b_z])
+            shape_factor = trace_min_sum([b_s, b_z])
         except ValueError as err:
             raise NumericsError(f"posterior shape {err}", k) from err
     posterior = _computed_belief(center, _qr_factor(b_c, b_v), shape_factor, "posterior", k)

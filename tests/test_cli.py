@@ -297,9 +297,12 @@ class TestSweepCommand:
         assert (out / "manifest.json").exists()
 
     def test_point_set_summary_is_strict_json(self, tmp_path):
-        # at scale 0 the set collapses to a point, so the crossing ratio is undefined
+        # a point initial set at scale 0 stays a point, so the crossing ratio is undefined
+        config = tmp_path / "point.json"
+        config.write_text(json.dumps({"shape0": np.zeros((4, 4)).tolist()}))
         out = tmp_path / "sweep"
-        assert main(["sweep", "--trials", "1", "--scales", "0", "--out", str(out)]) == 0
+        args = ["sweep", "--trials", "1", "--scales", "0", "--config", str(config)]
+        assert main(args + ["--out", str(out)]) == 0
 
         def reject(token):
             raise ValueError(f"{token} is not JSON")

@@ -59,6 +59,15 @@ class TestEllipsoidType:
     def test_degenerate_flag(self):
         assert Ellipsoid([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]]).degenerate
         assert not Ellipsoid([0.0, 0.0], np.eye(2)).degenerate
+        assert Ellipsoid([0.0], [[0.0]]).degenerate
+
+    def test_degenerate_flag_is_relative_to_the_shape(self):
+        # a small round shape is a full ellipsoid in small units
+        e = Ellipsoid([0.0, 0.0], 1e-16 * np.eye(2))
+        assert not e.degenerate
+        assert contains(e, [0.5e-8, 0.0])
+        assert not contains(e, [1.5e-8, 0.0])
+        assert Ellipsoid([0.0, 0.0], np.diag([1e-16, 1e-30])).degenerate
 
 
 class TestAffineImage:

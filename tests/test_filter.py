@@ -123,6 +123,10 @@ class TestStateBelief:
             StateBelief([0.0, 0.0], np.eye(3), np.eye(2), "prior", 0)
         with pytest.raises(ValueError, match="shape"):
             StateBelief([0.0, 0.0], np.eye(2), np.diag([1.0, -1.0]), "prior", 0)
+        # the rule's rounding band is relative: a deficit 10 times the
+        # largest entry is no rounding, however small the matrix
+        with pytest.raises(ValueError, match="shape: matrix is not PSD"):
+            StateBelief([0.0, 0.0], 1e-12 * np.eye(2), np.diag([1e-12, -1e-11]), "prior", 0)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="cov: matrix has non-finite"):
                 StateBelief([0.0], [[bad]], [[1.0]], "prior", 0)
@@ -411,11 +415,16 @@ class TestUpdate:
     def test_zero_set_terms_collapse_shape(self):
         # no bounded uncertainty anywhere: shape recursion returns zero
         m = scalar_model(sz=0.0)
-        prior = StateBelief([0.0], [[2.0]], [[0.0 + 1e-16]], "prior", 1)
+        prior = StateBelief([0.0], [[2.0]], [[0.0]], "prior", 1)
         post, report = skf_update(prior, np.array([1.0]), m, FilterConfig(eta=0.5), 1)
-        assert report.beta_star == 1.0
+        assert (report.regime, report.beta_star) == ("single_set", 1.0)
         assert post.shape[0, 0] == 0.0
         assert post.cov[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        # only an exactly zero set is a point: a tiny one stays live
+        prior = StateBelief([0.0], [[2.0]], [[1e-16]], "prior", 1)
+        post, report = skf_update(prior, np.array([1.0]), m, FilterConfig(eta=0.5), 1)
+        assert report.regime == "single_set"
+        assert post.shape[0, 0] > 0.0
 
     def test_zero_measurement_set_drops_inflation(self):
         # a point measurement set must not inflate the squeezed prior term
@@ -573,6 +582,20 @@ class TestKinkTests:
             ratios.append(pair)
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-14)
         assert ratios[1] == pytest.approx(((0.005 + 50.0) ** 2 / 2.0 / 25.0, 1.5**2 / 100.0 / 0.5))
+
+    def test_nearly_singular_h_x_leaves_beta_to_zero_untested(self):
+        # K0 = H_x^-1 has an entry of about 2e228, so K0 M K0^T overflows:
+        # the beta -> 0 test has a side that is not finite, and no ratio,
+        # without a warning
+        h_x = np.array([[0.0, 4.62674763e-229], [-1.0, 0.0]])
+        prior = StateBelief(np.zeros(2), 0.1 * np.eye(2), 1e-4 * np.eye(2), "prior", 1)
+        lin = factored_linearization(
+            h_x=h_x, h_v=np.eye(2), h_b=np.eye(2),
+            meas_noise_cov=0.1 * np.eye(2), meas_ubb_shape=1e-4 * np.eye(2),
+        )
+        regime, gain, (to_inf, to_zero) = _kink_tests(_UpdateContext(prior, lin, 0.5), 2e-4)
+        assert (regime, gain, to_zero) == (None, None, None)
+        assert to_inf > 1.0
 
     @pytest.mark.parametrize("rank_deficient", ["zero_row", "product"])
     def test_example2_map_and_rank_deficient_h_b_never_certify(self, rank_deficient):

@@ -3,7 +3,8 @@ factor, the beta search, the update's kink tests and the set guarantee of
 the whole recursion.
 
 Inputs span dimensions 1-5, scales 1e-6 to 1e6 and rank-deficient
-terms (set terms of the sum; observation maps of the update). Runs are
+terms (set terms of the sum; observation maps of the update); one
+property rescales a whole run's state by 2^-40 to 2^40. Runs are
 derandomized, so every run checks the same examples.
 
 The rule's factor L = V sqrt(max(lambda, 0)) comes from ``eigh``, whose
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from skf.ellipsoid import (
-    EPS_TRACE,
     _check_psd,
     _qr_factor,
     _scale_tol,
@@ -41,11 +41,16 @@ from skf.filter import (
     skf_predict,
     skf_update,
 )
-from skf.model import Linearization, linearize_measurement
+from skf.model import AnalyticJacobians, Linearization, NonlinearModel, linearize_measurement
 from skf.optimizer import ScalarProblem, minimize_scalar
 from skf.validation import _CONTAINMENT_TOL, _linear_system, _recursion_forms
 
 ROUNDING = 64 * np.finfo(float).eps
+# Derandomized draws are fixed only for fixed numeric literals: Hypothesis
+# (6.155) mixes the constants of every loaded local, non-test module into
+# its draws. Editing a literal under src/, or a run that loads other
+# modules (one test file alone), can draw other examples; the full tier-1
+# command, from a clean .hypothesis/, is the reference run.
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
 
@@ -88,7 +93,7 @@ def test_trace_min_sum_symmetric_psd(factors):
 def test_trace_min_sum_pair_matches_closed_form(factors):
     s1, s2 = (f @ f.T for f in factors)
     tr1, tr2 = float(np.trace(s1)), float(np.trace(s2))
-    assume(min(tr1, tr2) > EPS_TRACE)
+    assume(min(tr1, tr2) > 1e-14)
     expected = pair_sum_shape(s1, s2, np.sqrt(tr1 / tr2))
     out = trace_min_sum(factors)
     gap = float(np.max(np.abs(out @ out.T - expected)))
@@ -130,7 +135,8 @@ def test_matrix_rule_asymmetry_threshold(pair, slot):
     _check_psd(below)
     _check_psd(in_slot(below, other, slot), names=("a", "b"))
     above = mat.copy()
-    above[0, 1] += 1.01 * tol
+    # the band is relative, so a zero matrix has none: the least asymmetry fails
+    above[0, 1] += 1.01 * tol if tol > 0.0 else 5e-324
     with pytest.raises(ValueError, match="^matrix asymmetry"):
         _check_psd(above)
     name = "ab"[slot]
@@ -460,8 +466,8 @@ def test_posterior_shape_is_at_most_the_pair_bound(n, m, eta, seed):
 
 def test_searched_limit_shape_holds_the_gains_worst_point():
     # a tall h_x leaves beta -> 0 to the search, whose gain at beta = e^-20
-    # leaves B_S of extent O(e^-20): live, though its trace is below
-    # EPS_TRACE. With one state the worst point of c + B_S u1 + B_z u2 is
+    # leaves B_S of extent O(e^-20): live, though its trace is below 1e-14.
+    # With one state the worst point of c + B_S u1 + B_z u2 is
     # c + |B_S| + ||B_z||; dropping B_S would miss it by about
     # 2 |B_S| / ||B_z|| in the form.
     searched = 0
@@ -475,7 +481,7 @@ def test_searched_limit_shape_holds_the_gains_worst_point():
         assert report.evals > 0
         lin = linearize_measurement(model, prior.center, 1)
         _, _, b_s, b_z = _update_terms(_UpdateContext(prior, lin, 0.5), report.gain)
-        assert 0.0 < float(np.sum(b_s * b_s)) <= EPS_TRACE
+        assert 0.0 < float(np.sum(b_s * b_s)) <= 1e-14
         assert np.abs(b_s).sum() > 1e-11 * np.linalg.norm(b_z)
         worst = post.center + np.abs(b_s).sum() + np.linalg.norm(b_z)
         assert membership_form(post.center, post.shape_factor, worst) <= 1.0 + _CONTAINMENT_TOL
@@ -502,6 +508,77 @@ def test_recursion_keeps_truth_inside_every_set(n, m, eta, seed):
     rng = np.random.default_rng(seed)
     forms = _recursion_forms(*_linear_system(rng, n, m), eta, 30, rng)
     assert forms.max() <= 1.0 + _CONTAINMENT_TOL
+
+
+# --- units -------------------------------------------------------------------
+
+# a factor 2^k rescales the inputs exactly; the other three also round them
+UNIT_SCALES = [2.0**k for k in range(-40, 41)] + [1e-12, 3e-8, 1e12]
+
+
+def rescaled_run(model, belief, eta, ys, s):
+    """Each step's (posterior, report) of the filter with the state x' = s x.
+
+    Centers scale by s, covariances and shapes by s^2: F_a by s, H_x by
+    1/s and the process noise by s^2, so the measurements ``ys`` are the
+    same in every unit. Both Gaussian covariances are 0.1 I at s = 1.
+    """
+    jac, n, m = model.jacobians, model.state_dim, model.meas_dim
+    f_x, f_a, h_x, h_b = jac.f_x, tuple(s * f for f in jac.f_a), jac.h_x / s, jac.h_b
+    scaled = NonlinearModel(
+        state_dim=n,
+        input_dim=0,
+        meas_dim=m,
+        f=lambda x, u, w, a, k: f_x @ x + w + sum(f @ ai for f, ai in zip(f_a, a)),
+        h=lambda x, v, b, k: h_x @ x + v + h_b @ b,
+        process_noise_cov=s * s * 0.1 * np.eye(n),
+        ubb_process_shapes=model.ubb_process_shapes,
+        meas_noise_cov=0.1 * np.eye(m),
+        ubb_meas_shape=model.ubb_meas_shape,
+        jacobians=AnalyticJacobians(
+            f_x=f_x, f_w=np.eye(n), f_a=f_a, h_x=h_x, h_v=np.eye(m), h_b=h_b
+        ),
+    )
+    post = StateBelief(s * belief.center, s * s * belief.cov, s * s * belief.shape, "posterior", 0)
+    steps = []
+    for k, y in enumerate(ys, start=1):
+        prior = skf_predict(post, scaled, np.zeros(0), k)
+        post, report = skf_update(prior, y, scaled, FilterConfig(eta), k)
+        steps.append((post, report))
+    return steps
+
+
+def relative_gap(got, want):
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+@PROPERTY
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.floats(0.01, 1.0),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(UNIT_SCALES),
+)
+def test_update_does_not_depend_on_the_state_units(n, m, eta, seed, s):
+    # The bound has no units: rescaling the state by s scales centers by s
+    # and covariances and shapes by s^2, and leaves beta and the regime as
+    # they are. For m > n only the regime is compared: there the search's
+    # beta -> 0 limits drift by up to about 1e-5 with the regimes equal
+    # (ROADMAP items 7 and 10).
+    rng = np.random.default_rng(seed)
+    model, belief = _linear_system(rng, n, m)
+    ys = rng.standard_normal((5, m))
+    want = rescaled_run(model, belief, eta, ys, 1.0)
+    got = rescaled_run(model, belief, eta, ys, s)
+    for (post, report), (ref, ref_report) in zip(got, want):
+        assert report.regime == ref_report.regime
+        if m > n:
+            continue
+        assert report.beta_star == pytest.approx(ref_report.beta_star, rel=1e-12, abs=0)
+        assert relative_gap(post.center / s, ref.center) <= 1e-12
+        assert relative_gap(post.shape / (s * s), ref.shape) <= 1e-12
+        assert relative_gap(post.cov / (s * s), ref.cov) <= 1e-12
 
 
 @pytest.mark.xfail(strict=True, reason="beta* lies in the noisy lower tail of the search's G")
