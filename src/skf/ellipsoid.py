@@ -114,16 +114,27 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
+_TINY = math.sqrt(np.finfo(float).tiny)  # a norm below it has squares below the normal range
+
+
 def _frobenius(a: np.ndarray) -> float:
-    """||a||_F, bit for bit ``np.linalg.norm(a)``: the same dot over a's memory order.
+    """||a||_F, bit for bit ``np.linalg.norm(a)`` where that is at least ``_TINY`` or 0.
 
     ``np.linalg.norm`` ravels in memory order ("K") and takes the root of
     the vector's dot with itself; this does the same without its wrapper's
     call overhead, which dominates 1 x 1 steps. ``np.vdot`` ravels in C
-    order, which sums a Fortran-ordered array in another order.
+    order, which sums a Fortran-ordered array in another order. Below
+    ``_TINY`` the squares of the entries lose bits or vanish, so the norm
+    is taken of a scaled by its largest |entry|: it is 0 only for an
+    exactly zero a.
     """
     flat = a.ravel(order="K")
-    return math.sqrt(flat @ flat)
+    r = math.sqrt(flat @ flat)
+    if r >= _TINY or not flat.any():
+        return r
+    scale = float(np.abs(flat).max())
+    flat = flat / scale
+    return scale * math.sqrt(flat @ flat)
 
 
 def _qr_factor(*blocks: np.ndarray) -> np.ndarray:
@@ -257,13 +268,13 @@ def trace_min_sum(factors: Sequence) -> np.ndarray:
 
     Takes a factor L_k (n rows) of each term's shape S_k = L_k L_k^T and
     returns an n x n factor of ``(sum_k r_k) * (sum_k S_k / r_k)``, with
-    r_k = sqrt(tr S_k) = |L_k|_F: one QR of the terms weighted by
-    sqrt(sum_j r_j) / sqrt(r_k), two roots so that a tiny r_k cannot
-    overflow the quotient. A term whose factor is exactly zero is a point
-    and adds nothing; any other term, however small, is kept, so the result
-    bounds the sum. The center, the sum of the term centers, is left to the
-    caller. A ``ValueError`` names, by index, a term that is not finite or
-    has another row count than the first.
+    r_k = sqrt(tr S_k) = |L_k|_F, taken without underflow: one QR of the
+    terms weighted by sqrt(sum_j r_j) / sqrt(r_k), two roots so that a tiny
+    r_k cannot overflow the quotient. A term whose factor is exactly zero
+    is a point and adds nothing; any other term, however small, is kept,
+    so the result bounds the sum. The center, the sum of the term centers,
+    is left to the caller. A ``ValueError`` names, by index, a term that
+    is not finite or has another row count than the first.
     """
     if len(factors) < 1:
         raise ValueError("a sum needs at least one term")
@@ -276,7 +287,7 @@ def trace_min_sum(factors: Sequence) -> np.ndarray:
         r = _frobenius(term)
         if not math.isfinite(r):  # a NaN or inf entry, or a trace beyond float range
             raise _failure("term {}", i, "factor has non-finite entries")
-        if r > 0.0:
+        if r > 0.0:  # some entry is nonzero, however small
             live.append((term, r))
     if not live:
         return np.zeros((n, n))

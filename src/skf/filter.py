@@ -25,12 +25,17 @@ Before any search, two closed-form tests (``_kink_tests``) decide whether
 a limit regime is optimal: beta -> inf, the gain K = 0, or beta -> 0, the
 gain K0 = H_x^-1 of a square H_x. These are the kinks of the update cost
 with beta minimized out. A certified step takes the exact limit gain
-and runs no search; every other step searches.
+and runs no search; every other step searches, and each test that ran
+gives the search its end of the bracket, the limit of G there, so the
+search does not evaluate it.
 
 The beta-independent products are formed once per update, in an
 ``_UpdateContext``; every gain of the step, both tests and the posterior's
-blocks come from it. At eta = 0 the center and covariance recursions
-coincide exactly with the extended Kalman filter. ``FilterConfig`` carries
+blocks come from it. The noise blocks H_v L_Cz and H_b L_Sz and their
+Grams, and f_w L_Cu and f_a,i L_a,i in prediction, come formed on the
+``Linearization``: a model with constant noise forms them once. At
+eta = 0 the center and covariance recursions coincide exactly with the
+extended Kalman filter. ``FilterConfig`` carries
 eta alone, a real number in [0, 1]. For eta > 0 the posterior shape has
 one rule in every regime: the trace-minimal bound ``trace_min_sum`` of
 the gain's two set blocks B_S and B_z. The filter computes from factors
@@ -65,7 +70,7 @@ from .model import (
     linearize_process,
     wrap_angles,
 )
-from .optimizer import BRACKET, OptimizerError, ScalarProblem, minimize_scalar
+from .optimizer import BRACKET, Limit, OptimizerError, ScalarProblem, minimize_scalar
 
 
 class SingularInnovationError(FilterError):
@@ -173,7 +178,7 @@ def _computed_belief(center, l_c: np.ndarray, l_s: np.ndarray, kind: str, step: 
 
 def _predicted_cov_factor(lin: Linearization, l_c: np.ndarray) -> np.ndarray:
     """Factor of f_x C f_x^T + f_w C_u f_w^T: one QR of [f_x L_C, f_w L_Cu]."""
-    return _qr_factor(lin.f_x @ l_c, lin.f_w @ lin.process_noise_factor)
+    return _qr_factor(lin.f_x @ l_c, lin.process_noise_block)
 
 
 def _sq_norm(factor: np.ndarray) -> float:
@@ -184,18 +189,19 @@ def _sq_norm(factor: np.ndarray) -> float:
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """a^-1 b for a square a, or None where a is singular or the result is not finite.
 
-    A nonzero 1 x 1 a is a division, without ``np.linalg``'s call overhead,
-    which dominates 1 x 1 steps; for a one-column b it equals LAPACK's
-    quotient bit for bit. Like ``np.linalg.solve``, it overflows quietly.
+    A nonzero 1 x 1 a is a Python float division of each entry, without
+    ``np.linalg``'s call overhead, which dominates 1 x 1 steps; for a
+    one-column b it equals LAPACK's quotient bit for bit. It overflows to
+    inf quietly, like ``np.linalg.solve``, and then gives None.
     """
     if a.shape == (1, 1) and a[0, 0] != 0.0:
-        with np.errstate(all="ignore"):
-            x = b / a
-    else:
-        try:
-            x = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            return None
+        d = float(a[0, 0])
+        x = [v / d for v in b[0].tolist()]
+        return np.array([x]) if all(map(math.isfinite, x)) else None
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
     return x if np.isfinite(x).all() else None
 
 
@@ -232,8 +238,7 @@ def skf_predict(
     if belief.kind != "posterior":
         raise ValueError("prediction starts from a posterior belief")
     lin = linearize_process(m, belief.center, u, k)
-    terms = [lin.f_x @ belief.shape_factor]
-    terms += [f_ai @ l_i for f_ai, l_i in zip(lin.f_a, lin.ubb_process_factors)]
+    terms = [lin.f_x @ belief.shape_factor, *lin.ubb_process_blocks]
     try:
         shape_factor = trace_min_sum(terms)
     except ValueError as err:
@@ -245,29 +250,29 @@ def skf_predict(
 class _UpdateContext:
     """The beta-independent products of one update, from H_x L_C, H_x L_S, H_v L_Cz, H_b L_Sz.
 
-    Built once per update from the factors of the prior belief and of the
-    measurement noise, and eta; every gain of the step comes from ``gain``,
-    or from ``_kink_tests`` where a limit regime is certified. The set
-    products S H_x^T, H_x S H_x^T and H_b S_z H_b^T are formed for eta > 0
-    only: at eta = 0 the gain solves the covariance parts alone.
+    Built once per update from the factors of the prior belief, the
+    measurement's noise blocks H_v L_Cz and H_b L_Sz and their Grams R and
+    N, all served on the ``Linearization``, and eta; every gain of the step
+    comes from ``gain``, or from ``_kink_tests`` where a limit regime is
+    certified. The set products S H_x^T and H_x S H_x^T are formed for
+    eta > 0 only: at eta = 0 the gain solves the covariance parts alone.
     """
 
     def __init__(self, belief: StateBelief, lin: Linearization, eta: float):
         self.belief, self.lin, self.eta = belief, lin, eta
         self.eye = _identity(belief.dim)
         hl_c = lin.h_x @ belief.cov_factor
-        self.hv_lcz = lin.h_v @ lin.meas_noise_factor
-        self.hb_lsz = lin.h_b @ lin.meas_ubb_factor
+        self.hv_lcz, self.meas_noise = lin.meas_noise_block, lin.meas_noise_gram
+        self.hb_lsz = lin.meas_ubb_block
         # the covariance parts, (1 - eta) C H_x^T and (1 - eta)(H_x C H_x^T + R),
         # in ``ekf_step``'s order, so that eta = 0 gives the EKF gain bit for bit
         self.cov_cross = (1.0 - eta) * (belief.cov_factor @ hl_c.T)
-        self.meas_noise = self.hv_lcz @ self.hv_lcz.T
         self.cov_bracket = (1.0 - eta) * (hl_c @ hl_c.T + self.meas_noise)
         if eta > 0.0:
             hl_s = lin.h_x @ belief.shape_factor
             self.s_ht = belief.shape_factor @ hl_s.T
             self.meas_prior_shape = hl_s @ hl_s.T
-            self.meas_set_shape = self.hb_lsz @ self.hb_lsz.T
+            self.meas_set_shape = lin.meas_ubb_gram
 
     def gain(self, p_prior: float, q_meas: float) -> np.ndarray:
         """Stationary gain for given inflation coefficients on the two set terms.
@@ -342,6 +347,17 @@ def _kink_ratio(factor: np.ndarray, rhs: np.ndarray, right: float) -> float | No
     return left / right if math.isfinite(left) else None
 
 
+def _search_limit(ratio: float | None, sign: float, value: float) -> Limit | None:
+    """The search's ``Limit`` at the end of a kink test that did not certify.
+
+    G = sign * log(ratio) and the cost ``value`` there; None where the test
+    gave no finite ratio or the value is not finite.
+    """
+    if ratio is None or not (ratio < math.inf and math.isfinite(value)):
+        return None
+    return Limit(sign * math.log(ratio), value)
+
+
 def _kink_tests(ctx: _UpdateContext, tr_shape: float):
     """Closed-form optimality tests of the update cost's two kinks, for eta > 0.
 
@@ -356,12 +372,20 @@ def _kink_tests(ctx: _UpdateContext, tr_shape: float):
     * for square H_x, K0 = H_x^-1 is optimal if
       ||L_S^-1 K0 M K0^T||_F^2 <= eta^2 ||K0 L_N||_F^2.
 
-    Returns ``(regime, gain, ratios)``: the certified regime and its exact
-    gain, or (None, None), and left side / right side of each test (a ratio
-    of at most 1 certifies), None where the test did not run or its solve
-    failed. Every side is a squared norm, so a singular L_N, H_x or L_S can
-    fail a test but never pass one. A tall or singular H_x leaves beta -> 0
-    to the search.
+    Each ratio, left side / right side, is also a limit of the search's
+    G = log(up / down): G -> log ratio as beta -> inf for the first test,
+    and G -> -log ratio as beta -> 0 for the second.
+
+    Returns ``(regime, gain, ratios, limits)``: the certified regime and its
+    exact gain, or (None, None); left side / right side of each test (a
+    ratio of at most 1 certifies), None where the test did not run or its
+    solve failed; and, for the lower and the upper end of the search
+    bracket, the ``Limit`` of a test that ran and did not certify, else
+    None. The value at beta -> inf is the cost at K = 0,
+    (1 - eta) tr C + eta tr S; at beta -> 0 the cost at K0,
+    (1 - eta) ||K0 H_v L_Cz||^2 + eta ||K0 L_N||^2. Every side is a squared
+    norm, so a singular L_N, H_x or L_S can fail a test but never pass one.
+    A tall or singular H_x leaves beta -> 0 to the search.
     """
     eta = ctx.eta
     l_n = ctx.hb_lsz
@@ -370,23 +394,24 @@ def _kink_tests(ctx: _UpdateContext, tr_shape: float):
     cross = ctx.cov_cross + eta * ctx.s_ht
     to_inf = _kink_ratio(l_n, cross.T, eta * eta * tr_shape)
     if to_inf is not None and to_inf <= 1.0:
-        return "beta_to_inf", np.zeros_like(cross), (to_inf, None)
+        return "beta_to_inf", np.zeros_like(cross), (to_inf, None), (None, None)
+    at_zero_gain = (1.0 - eta) * _sq_norm(ctx.belief.cov_factor) + eta * tr_shape
+    upper = _search_limit(to_inf, 1.0, at_zero_gain)
     h_x = ctx.lin.h_x
-    if h_x.shape[0] != h_x.shape[1]:
-        return None, None, (to_inf, None)
-    k0 = _solve(h_x, _identity(h_x.shape[0]))
+    k0 = _solve(h_x, _identity(h_x.shape[0])) if h_x.shape[0] == h_x.shape[1] else None
     if k0 is None:
-        return None, None, (to_inf, None)
+        return None, None, (to_inf, None), (None, upper)
     # a nearly singular H_x gives a huge K0 whose products overflow: the
     # test then has a side that is not finite, and its ratio is None
     with np.errstate(over="ignore", invalid="ignore"):
         k0_ln = k0 @ l_n
+        tr_k0_n = float(np.vdot(k0_ln, k0_ln))
         p_mat = k0 @ ((1.0 - eta) * ctx.meas_noise + eta * ctx.meas_set_shape) @ k0.T
-        right = eta * eta * float(np.vdot(k0_ln, k0_ln))
-        to_zero = _kink_ratio(ctx.belief.shape_factor, p_mat, right)
-    if to_zero is not None and to_zero <= 1.0:
-        return "beta_to_zero", k0, (to_inf, to_zero)
-    return None, None, (to_inf, to_zero)
+        to_zero = _kink_ratio(ctx.belief.shape_factor, p_mat, eta * eta * tr_k0_n)
+        if to_zero is not None and to_zero <= 1.0:
+            return "beta_to_zero", k0, (to_inf, to_zero), (None, None)
+        at_k0 = (1.0 - eta) * _sq_norm(k0 @ ctx.hv_lcz) + eta * tr_k0_n
+    return None, None, (to_inf, to_zero), (_search_limit(to_zero, -1.0, at_k0), upper)
 
 
 _LIMIT_REGIMES = {"lower": "beta_to_zero", "upper": "beta_to_inf"}
@@ -400,14 +425,18 @@ def skf_update(
     With both set terms live and eta > 0, ``_kink_tests`` first decides in
     closed form whether a kink of the cost is optimal; such a step takes
     its exact limit gain, 0 at beta -> inf or K0 = H_x^-1 at beta -> 0, runs
-    no search and reports its bracket end as beta.
+    no search and reports its bracket end as beta. Otherwise the search
+    takes each test that ran as a ``Limit`` of its bracket end, and
+    evaluates only the ends it was not given.
 
-    Otherwise one inflation pair (p, q) gives the gain, ``ctx.gain(p, q)``:
-    (1 + 1/beta, 1 + beta) with both set terms live, beta minimizing J(beta)
-    or, at eta = 0, where J does not depend on it, 1 by convention. A limit
+    An uncertified step takes its gain from one inflation pair (p, q),
+    ``ctx.gain(p, q)``: (1 + 1/beta, 1 + beta) with both set terms live,
+    beta minimizing J(beta) or, at eta = 0, where J does not depend on it,
+    1 by convention. A limit
     regime the tests did not certify keeps its bracket end. A set term
-    whose factor is exactly zero is a point, whatever the units: it takes
-    0, a live term 1, and beta = 1 is reported.
+    whose factor is exactly zero, every entry 0, is a point, whatever the
+    units: it takes 0, a live term 1, and beta = 1 is reported. A factor
+    whose entries are too small to square in floats is not a point.
 
     The covariance is the Joseph form at the gain. For eta > 0 the shape is
     ``trace_min_sum`` of the gain's blocks B_S = (I - K H_x) L_S and
@@ -430,10 +459,12 @@ def skf_update(
     ctx = _UpdateContext(belief, lin, eta)
 
     # A point set term must not inflate the gain, or the beta search would
-    # chase an inflation factor of 1 toward the bracket boundary.
+    # chase an inflation factor of 1 toward the bracket boundary. A term is
+    # live when its factor has a nonzero entry, also where its trace
+    # underflows to 0 (the trace decides first, as it costs less).
     tr_shape = _sq_norm(belief.shape_factor)
-    prior_set_live = tr_shape > 0.0
-    meas_set_live = _sq_norm(ctx.hb_lsz) > 0.0
+    prior_set_live = tr_shape > 0.0 or bool(belief.shape_factor.any())
+    meas_set_live = _sq_norm(ctx.hb_lsz) > 0.0 or bool(ctx.hb_lsz.any())
     beta_star = 1.0
     evals = 0
     gain = None
@@ -442,11 +473,11 @@ def skf_update(
         # Cost independent of beta: the gain is exactly the EKF gain.
         regime = "eta_zero"
     elif prior_set_live and meas_set_live:
-        regime, gain, ratios = _kink_tests(ctx, tr_shape)
+        regime, gain, ratios, limits = _kink_tests(ctx, tr_shape)
         if gain is not None:
             beta_star = math.exp(BRACKET[0] if regime == "beta_to_zero" else BRACKET[1])
         else:
-            problem = ScalarProblem(objective=_beta_cost(ctx))
+            problem = ScalarProblem(objective=_beta_cost(ctx), limits=limits)
             try:
                 beta_star, _, evals, end = minimize_scalar(problem)
             except OptimizerError as err:
@@ -528,9 +559,9 @@ def ekf_step(
     pred_factor = _predicted_cov_factor(lin_p, cov_factor)
 
     lin_m = linearize_measurement(m, x_pred, k)
-    h_x = lin_m.h_x
-    hl_p, hv_lcz = h_x @ pred_factor, lin_m.h_v @ lin_m.meas_noise_factor
-    s_inn = hl_p @ hl_p.T + hv_lcz @ hv_lcz.T
+    h_x, hv_lcz = lin_m.h_x, lin_m.meas_noise_block
+    hl_p = h_x @ pred_factor
+    s_inn = hl_p @ hl_p.T + lin_m.meas_noise_gram
     gain = _solve_gain(pred_factor @ hl_p.T, s_inn, "EKF innovation covariance", k)
 
     x_post = x_pred + gain @ wrap_angles(y - lin_m.h_value, m.angular_mask)

@@ -14,7 +14,7 @@ where a provider's value is checked; ``skf.filter`` re-exports both.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,6 +90,20 @@ def _serve_psd(m: NonlinearModel, name: str, k: int) -> np.ndarray:
         raise NumericsError(str(err), k) from err
 
 
+def _with_gram(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A measurement noise block J L and its Gram (J L)(J L)^T."""
+    return block, block @ block.T
+
+
+def _constant_blocks(pairs) -> list | None:
+    """J @ L of each (Jacobian, factor) pair, or None unless every pair is constant and fits."""
+    for jacobian, factor in pairs:
+        constant = isinstance(jacobian, np.ndarray) and isinstance(factor, np.ndarray)
+        if not (constant and jacobian.shape[1] == factor.shape[0]):
+            return None
+    return [jacobian @ factor for jacobian, factor in pairs]
+
+
 def _jacobian_constant(value, name: str):
     if value is None or callable(value):
         return value
@@ -132,6 +146,12 @@ class NonlinearModel:
     and is stored symmetrized, with its factor, and served as is. A callable's
     value passes it each time it is served; a violation raises
     ``NumericsError`` naming the step and the field.
+
+    Where every noise Jacobian of a part (f_w and each f_a[i], or h_v and
+    h_b) and every noise matrix it multiplies are constants, the model
+    forms that part's noise blocks, the Jacobian times the factor, once,
+    and the measurement blocks' Grams with them; the linearizers serve
+    these at every step.
     """
 
     state_dim: int
@@ -147,26 +167,49 @@ class NonlinearModel:
     angular_mask: np.ndarray | None = None
     # field name (``ubb_process_shapes[i]`` per shape) -> a constant's factor, or the callable
     _psd: dict = field(init=False, repr=False, compare=False)
+    # each part's noise blocks, as the linearizers serve them, or None where formed per step
+    _process_blocks: tuple | None = field(init=False, repr=False, compare=False)
+    _meas_blocks: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrices = ("process_noise_cov", "meas_noise_cov", "ubb_meas_shape")
         named = [(name, getattr(self, name)) for name in matrices]
-        named += [(f"ubb_process_shapes[{i}]", s) for i, s in enumerate(self.ubb_process_shapes)]
+        named_shapes = _process_shape_names(len(self.ubb_process_shapes))
+        named += list(zip(named_shapes, self.ubb_process_shapes))
         pairs = {name: (v, v) if callable(v) else _psd_pair(v, name) for name, v in named}
         for name in matrices:
             object.__setattr__(self, name, pairs[name][0])
-        shapes = tuple(pairs[name][0] for name, _ in named[3:])
+        shapes = tuple(pairs[name][0] for name in named_shapes)
         object.__setattr__(self, "ubb_process_shapes", shapes)
         object.__setattr__(self, "_psd", {name: pair[1] for name, pair in pairs.items()})
         object.__setattr__(self, "jacobians", self.jacobians or AnalyticJacobians())
-        slots = self.jacobians.f_a
+        jac = self.jacobians
+        slots = jac.f_a
         if slots is not None and len(shapes) > len(slots):
             raise ValueError(f"ubb_process_shapes: {len(shapes)} shapes, but f_a has {len(slots)}")
+        # a block that does not fit is left to the step, which raises there
+        psd = self._psd
+        process = _constant_blocks(
+            [(jac.f_w, psd["process_noise_cov"])]
+            + [(j, psd[name]) for j, name in zip(slots or (None,) * len(shapes), named_shapes)]
+        )
+        meas = _constant_blocks(
+            [(jac.h_v, psd["meas_noise_cov"]), (jac.h_b, psd["ubb_meas_shape"])]
+        )
+        process = process and (process[0], tuple(process[1:]))
+        meas = meas and (*_with_gram(meas[0]), *_with_gram(meas[1]))
+        object.__setattr__(self, "_process_blocks", process)
+        object.__setattr__(self, "_meas_blocks", meas)
         if self.angular_mask is not None:
             mask = np.asarray(self.angular_mask, dtype=bool)
             if mask.shape != (self.meas_dim,):
                 raise ValueError("angular_mask must have one flag per measurement row")
             object.__setattr__(self, "angular_mask", mask)
+
+
+def _block_field(default=None):
+    """A noise-block field of ``Linearization``: computed, not passed to the constructor."""
+    return field(default=default, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -177,7 +220,13 @@ class Linearization:
     expansion point, f_x, f_w, f_a); ``linearize_measurement`` the
     measurement part (h_value, h_x, h_v, h_b). Each also carries the
     factors of its part's noise covariances and shapes at the step, served
-    once from the model's fields; the filter computes from them alone.
+    once from the model's fields, and its noise blocks: f_w L_Cu, each
+    f_a,i L_a,i, h_v L_Cz and h_b L_Sz, with the Grams H_v C_z H_v^T and
+    N = H_b S_z H_b^T of the last two. The filter computes from them alone.
+
+    The blocks are not init fields. The linearizers serve them, the model's
+    own for constant providers; a Linearization built by its constructor,
+    also through ``dataclasses.replace``, computes them from its own fields.
     """
 
     f_value: np.ndarray | None = None
@@ -192,6 +241,35 @@ class Linearization:
     h_b: np.ndarray | None = None
     meas_noise_factor: np.ndarray | None = None
     meas_ubb_factor: np.ndarray | None = None
+    process_noise_block: np.ndarray | None = _block_field()
+    ubb_process_blocks: tuple[np.ndarray, ...] = _block_field(())
+    meas_noise_block: np.ndarray | None = _block_field()
+    meas_noise_gram: np.ndarray | None = _block_field()
+    meas_ubb_block: np.ndarray | None = _block_field()
+    meas_ubb_gram: np.ndarray | None = _block_field()
+
+    def __post_init__(self):
+        blocks = {"ubb_process_blocks": tuple(map(np.matmul, self.f_a, self.ubb_process_factors))}
+        if self.f_w is not None and self.process_noise_factor is not None:
+            blocks["process_noise_block"] = self.f_w @ self.process_noise_factor
+        for name, jacobian, factor in (
+            ("meas_noise", self.h_v, self.meas_noise_factor),
+            ("meas_ubb", self.h_b, self.meas_ubb_factor),
+        ):
+            if jacobian is not None and factor is not None:
+                blocks[f"{name}_block"], blocks[f"{name}_gram"] = _with_gram(jacobian @ factor)
+        self.__dict__.update(blocks)
+
+
+# every field at its default, the start of a Linearization the linearizers fill
+_EMPTY = {f.name: f.default for f in fields(Linearization)}
+
+
+def _served(**parts) -> Linearization:
+    """A Linearization of the given fields, blocks included, taken as they are."""
+    lin = object.__new__(Linearization)
+    lin.__dict__.update(_EMPTY, **parts)
+    return lin
 
 
 def central_jacobian(func: Callable[[np.ndarray], np.ndarray], x0: np.ndarray) -> np.ndarray:
@@ -265,14 +343,17 @@ def linearize_process(
     f_w = _jacobian(jac.f_w, at, m.f, args, 2)
     analytic_a = jac.f_a if jac.f_a is not None else (None,) * len(factors)
     f_a = [_jacobian(analytic_a[i], at, m.f, args, 3, i) for i in range(len(factors))]
+    blocks = m._process_blocks or (f_w @ l_u, tuple(map(np.matmul, f_a, factors)))
 
-    return Linearization(
+    return _served(
         f_value=f_value,
         f_x=f_x,
         f_w=f_w,
         f_a=tuple(f_a),
         process_noise_factor=l_u,
         ubb_process_factors=factors,
+        process_noise_block=blocks[0],
+        ubb_process_blocks=blocks[1],
     )
 
 
@@ -298,11 +379,17 @@ def linearize_measurement(m: NonlinearModel, x_center: np.ndarray, k: int) -> Li
     h_v = _jacobian(jac.h_v, at, m.h, args, 1)
     h_b = _jacobian(jac.h_b, at, m.h, args, 2)
 
-    return Linearization(
+    blocks = m._meas_blocks or (*_with_gram(h_v @ l_cz), *_with_gram(h_b @ l_sz))
+    hv_lcz, r, hb_lsz, n = blocks
+    return _served(
         h_value=h_value,
         h_x=h_x,
         h_v=h_v,
         h_b=h_b,
         meas_noise_factor=l_cz,
         meas_ubb_factor=l_sz,
+        meas_noise_block=hv_lcz,
+        meas_noise_gram=r,
+        meas_ubb_block=hb_lsz,
+        meas_ubb_gram=n,
     )

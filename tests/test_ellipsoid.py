@@ -234,16 +234,26 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def norm_reference(a) -> float:
+    """``np.linalg.norm(a)``; below sqrt(tiny), where the squares of the entries
+    underflow, the norm of a / max|a| scaled back."""
+    r = float(np.linalg.norm(a))
+    if r >= math.sqrt(np.finfo(float).tiny) or not np.any(a):
+        return r
+    scale = float(np.max(np.abs(a)))
+    return scale * float(np.linalg.norm(a / scale))
+
+
 def qr_factor_reference(*blocks):
-    """``_qr_factor`` with its one-row case taken by ``np.linalg.norm``, as first written."""
+    """``_qr_factor`` with its one-row case taken by ``norm_reference``."""
     stacked = np.concatenate(blocks, axis=1)
     if stacked.shape[0] == 1:
-        return np.linalg.norm(stacked, keepdims=True)
+        return np.array([[norm_reference(stacked)]])
     return _qr_factor(*blocks)
 
 
 def trace_min_sum_reference(factors):
-    """``trace_min_sum`` with every norm taken by ``np.linalg.norm``, as first written."""
+    """``trace_min_sum`` with every norm taken by ``norm_reference``."""
     if len(factors) < 1:
         raise ValueError("a sum needs at least one term")
     terms = [np.atleast_2d(np.asarray(f, dtype=float)) for f in factors]
@@ -252,7 +262,7 @@ def trace_min_sum_reference(factors):
     for i, term in enumerate(terms):
         if term.ndim != 2 or term.shape[0] != n:
             raise ValueError(f"term {i}: factor has shape {term.shape}, expected {n} rows")
-        roots.append(float(np.linalg.norm(term)))
+        roots.append(norm_reference(term))
         if not math.isfinite(roots[-1]):
             raise ValueError(f"term {i}: factor has non-finite entries")
     live = [(term, r) for term, r in zip(terms, roots) if r > 0.0]
@@ -272,8 +282,8 @@ def outcome(fn, *args):
 
 class TestQrFactor:
     def test_one_row_is_the_norm_bit_for_bit(self):
-        # squares of entries near 1e300 overflow and near 1e-300 underflow;
-        # both forms then give inf or the same rounded sum
+        # squares of entries near 1e300 overflow, and both forms give inf;
+        # near 1e-300 they underflow, and both scale by the largest entry
         rng = np.random.default_rng(17)
         with np.errstate(over="ignore"):
             for _ in range(2000):
@@ -360,6 +370,15 @@ class TestTraceMinSum:
             assert out[0, 0] == 1.0 + small
         out = trace_min_sum([1e-9 * np.eye(2), np.eye(2)])
         assert np.allclose(out @ out.T, (1.0 + 1e-9) ** 2 * np.eye(2), rtol=1e-15, atol=0)
+
+    def test_tiny_terms_are_live(self):
+        # a factor is a point only when every entry is exactly zero: entries
+        # whose squares underflow still give the term its weight and its norm
+        assert trace_min_sum([[[1e-163]]])[0, 0] == 1e-163
+        assert trace_min_sum([[[5e-324]], [[0.0]]])[0, 0] == 5e-324
+        assert trace_min_sum([[[3e-170]], [[4e-170]]])[0, 0] == pytest.approx(7e-170, rel=1e-15)
+        out = trace_min_sum([np.diag([1e-163, 2e-163])])
+        assert np.allclose(np.abs(np.diag(out)), [1e-163, 2e-163], rtol=1e-15, atol=0)
 
     def test_all_zero_terms_give_point(self):
         out = trace_min_sum([np.zeros((1, 1)), np.zeros((1, 1))])

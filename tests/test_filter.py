@@ -7,6 +7,7 @@ cases small enough to verify by hand.
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from skf.filter import (
     NumericsError,
     SingularInnovationError,
     StateBelief,
+    _computed_belief,
     _kink_tests,
     _solve,
     _update_terms,
@@ -426,6 +428,19 @@ class TestUpdate:
         assert report.regime == "single_set"
         assert post.shape[0, 0] > 0.0
 
+    def test_set_whose_squares_underflow_stays_live(self):
+        # a prior set factor of 1e-170 has a trace of 0 in floats, but it is
+        # not a point: its block keeps the posterior shape, and with a live
+        # measurement set the update takes both terms
+        prior = _computed_belief(np.zeros(1), np.eye(1), np.array([[1e-170]]), "prior", 1)
+        y = np.array([0.5])
+        post, report = skf_update(prior, y, scalar_model(sz=0.0), FilterConfig(0.5), 1)
+        assert report.regime == "single_set"
+        expected = abs(1.0 - report.gain[0, 0]) * 1e-170
+        assert post.shape_factor[0, 0] == pytest.approx(expected, rel=1e-15)
+        _, report = skf_update(prior, y, scalar_model(sz=1.0), FilterConfig(0.5), 1)
+        assert report.regime != "single_set"
+
     def test_zero_measurement_set_drops_inflation(self):
         # a point measurement set must not inflate the squeezed prior term
         m = scalar_model(sz=0.0)
@@ -460,7 +475,8 @@ class TestGainRegime:
         report = self.update("interior")
         assert report.regime == "interior"
         assert report.beta_star == pytest.approx(0.5, abs=1e-6)
-        assert report.evals >= 3
+        # both kink tests give their limit ends: a bisection step, then one fit
+        assert report.evals == 2
 
     def test_beta_to_zero(self):
         # a wide prior set against a tight measurement: trust the measurement,
@@ -540,6 +556,34 @@ class TestSolve:
             assert np.array_equal(_solve(a_i, column), np.linalg.solve(a_i, column))
             np.testing.assert_array_max_ulp(_solve(a_i, wide), np.linalg.solve(a_i, wide), 1)
 
+    def test_scalar_division_overflows_quietly_to_none(self):
+        # random 1 x 1 systems with one to four columns over the whole exponent
+        # range: a finite quotient is IEEE division entry by entry, LAPACK's
+        # own bit for bit for one column and within an ulp for several (see
+        # above); a quotient that overflows gives None, without a warning
+        rng = np.random.default_rng(21)
+        outcomes = {"finite": 0, "overflow": 0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(4000):
+                size = int(rng.integers(2, 6))  # a and one to four columns of b
+                a, *b = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+                a, b, cols = np.array([[a]]), np.array([b]), size - 1
+                with np.errstate(all="ignore"):
+                    lapack, quotient = np.linalg.solve(a, b), b / a
+                got = _solve(a, b)
+                if not np.isfinite(quotient).all():
+                    outcomes["overflow"] += 1
+                    assert got is None
+                    continue
+                outcomes["finite"] += 1
+                assert np.array_equal(got, quotient)
+                if cols == 1:
+                    assert np.array_equal(got, lapack)
+                else:
+                    np.testing.assert_array_max_ulp(got, lapack, 1)
+        assert min(outcomes.values()) >= 500
+
     def test_solve_against_identity_equals_inv_bit_for_bit(self):
         rng = np.random.default_rng(19)
         for n in range(1, 6):
@@ -563,7 +607,8 @@ class TestKinkTests:
         # control for the test below: a tight prior set is ignored, K = 0
         ctx = self.context(np.eye(4), 1e-6, 0.5)
         assert not ctx.lin.h_x[:, 2:].any()  # velocities are unobserved
-        regime, gain, (to_inf, to_zero) = _kink_tests(ctx, 4e-6)
+        regime, gain, (to_inf, to_zero), limits = _kink_tests(ctx, 4e-6)
+        assert limits == (None, None)  # a certified step runs no search
         assert (regime, to_zero) == ("beta_to_inf", None)
         assert to_inf <= 1.0 and not gain.any()
 
@@ -577,7 +622,7 @@ class TestKinkTests:
                 h_x=np.eye(1), h_v=np.eye(1), h_b=np.array(h_b),
                 meas_noise_cov=np.eye(1), meas_ubb_shape=np.diag(s_z),
             )
-            regime, _, pair = _kink_tests(_UpdateContext(prior, lin, 0.5), 100.0)
+            regime, _, pair, _ = _kink_tests(_UpdateContext(prior, lin, 0.5), 100.0)
             assert regime == "beta_to_zero"
             ratios.append(pair)
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-14)
@@ -593,9 +638,14 @@ class TestKinkTests:
             h_x=h_x, h_v=np.eye(2), h_b=np.eye(2),
             meas_noise_cov=0.1 * np.eye(2), meas_ubb_shape=1e-4 * np.eye(2),
         )
-        regime, gain, (to_inf, to_zero) = _kink_tests(_UpdateContext(prior, lin, 0.5), 2e-4)
-        assert (regime, gain, to_zero) == (None, None, None)
+        ctx = _UpdateContext(prior, lin, 0.5)
+        regime, gain, (to_inf, to_zero), (lower, upper) = _kink_tests(ctx, 2e-4)
+        assert (regime, gain, to_zero, lower) == (None, None, None, None)
         assert to_inf > 1.0
+        # the search takes the beta -> inf end from the test: G = log ratio
+        # there, and the cost at K = 0 is the prior's, 0.5 tr C + 0.5 tr S
+        assert upper.g == np.log(to_inf)
+        assert upper.value == pytest.approx(0.5 * 0.2 + 0.5 * 2e-4, rel=1e-14)
 
     @pytest.mark.parametrize("rank_deficient", ["zero_row", "product"])
     def test_example2_map_and_rank_deficient_h_b_never_certify(self, rank_deficient):
@@ -609,9 +659,12 @@ class TestKinkTests:
         for shape_scale in (1e-9, 1e-6, 1e-3, 1.0, 1e2):
             for eta in (0.1, 0.5, 0.9, 1.0):
                 ctx = self.context(h_b, shape_scale, eta)
-                regime, gain, (to_inf, to_zero) = _kink_tests(ctx, 4 * shape_scale)
-                assert (regime, gain, to_zero) == (None, None, None)
+                regime, gain, (to_inf, to_zero), (lower, upper) = _kink_tests(
+                    ctx, 4 * shape_scale
+                )
+                assert (regime, gain, to_zero, lower) == (None, None, None, None)
                 assert to_inf is None or to_inf > 1.0
+                assert (upper is None) == (to_inf is None)
 
 
 class TestModelEvaluations:

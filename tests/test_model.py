@@ -10,6 +10,7 @@ import pytest
 from skf.experiments import example1_config, example2_config, build_model
 from skf.model import (
     AnalyticJacobians,
+    Linearization,
     ModelEvaluationError,
     NonlinearModel,
     central_jacobian,
@@ -166,6 +167,82 @@ class TestConstantJacobians:
     def test_bad_constant_rejected_at_construction(self, fields, name):
         with pytest.raises(ValueError, match=re.escape(f"{name}:")):
             AnalyticJacobians(**fields)
+
+
+MEAS_BLOCKS = ("meas_noise_block", "meas_noise_gram", "meas_ubb_block", "meas_ubb_gram")
+
+
+def assert_blocks_are_products(lin_p, lin_m):
+    """Each served block is J L of the same step's Jacobian and factor, bit for bit."""
+    assert np.array_equal(lin_p.process_noise_block, lin_p.f_w @ lin_p.process_noise_factor)
+    assert len(lin_p.ubb_process_blocks) == len(lin_p.f_a)
+    for block, f_a, factor in zip(lin_p.ubb_process_blocks, lin_p.f_a, lin_p.ubb_process_factors):
+        assert np.array_equal(block, f_a @ factor)
+    for name, jac, factor in (("noise", lin_m.h_v, lin_m.meas_noise_factor),
+                              ("ubb", lin_m.h_b, lin_m.meas_ubb_factor)):
+        block = jac @ factor
+        assert np.array_equal(getattr(lin_m, f"meas_{name}_block"), block)
+        assert np.array_equal(getattr(lin_m, f"meas_{name}_gram"), block @ block.T)
+
+
+class TestNoiseBlocks:
+    CENTER = np.array([5.0, 7.0, 1.0, 0.0])
+
+    def test_constant_model_serves_one_block_object_at_every_step(self):
+        m = build_model(example2_config(trials=1))
+        first_p = linearize_process(m, self.CENTER, np.zeros(0), 1)
+        first_m = linearize_measurement(m, self.CENTER, 1)
+        assert_blocks_are_products(first_p, first_m)
+        for k in (2, 3):
+            lin_p = linearize_process(m, k * self.CENTER, np.zeros(0), k)
+            lin_m = linearize_measurement(m, k * self.CENTER, k)
+            assert lin_p.process_noise_block is first_p.process_noise_block
+            assert lin_p.ubb_process_blocks[0] is first_p.ubb_process_blocks[0]
+            assert all(getattr(lin_m, name) is getattr(first_m, name) for name in MEAS_BLOCKS)
+
+    def test_callable_providers_serve_fresh_blocks(self):
+        # a provider's matrix, or a Jacobian's value, can change with the step
+        m = NonlinearModel(
+            state_dim=1,
+            input_dim=1,
+            meas_dim=1,
+            f=lambda x, u, w, a, k: x + u + w + a[0],
+            h=lambda x, v, b, k: x + v + k * b,
+            process_noise_cov=lambda k: k * np.eye(1),
+            ubb_process_shapes=(lambda k: 2.0 * k * np.eye(1),),
+            meas_noise_cov=lambda k: 3.0 * k * np.eye(1),
+            ubb_meas_shape=np.eye(1),
+            jacobians=AnalyticJacobians(h_b=lambda x, k: np.array([[float(k)]])),
+        )
+        for k in (1, 4):
+            lin_p = linearize_process(m, np.zeros(1), np.zeros(1), k)
+            lin_m = linearize_measurement(m, np.zeros(1), k)
+            assert_blocks_are_products(lin_p, lin_m)
+            assert lin_p.process_noise_block[0, 0] ** 2 == pytest.approx(k, rel=1e-12)
+            assert lin_m.meas_noise_gram[0, 0] == pytest.approx(3.0 * k, rel=1e-12)
+            assert lin_m.meas_ubb_gram[0, 0] == pytest.approx(k * k, rel=1e-12)
+
+    def test_replace_rebuilds_the_blocks(self):
+        lin = linearize_measurement(build_model(example2_config(trials=1)), self.CENTER, 1)
+        doubled = dataclasses.replace(lin, h_b=2.0 * lin.h_b)
+        assert np.array_equal(doubled.meas_ubb_block, 2.0 * lin.meas_ubb_block)
+        assert np.array_equal(doubled.meas_ubb_gram, 4.0 * lin.meas_ubb_gram)
+        assert np.array_equal(doubled.meas_noise_gram, lin.meas_noise_gram)
+
+    def test_hand_built_linearization_computes_its_blocks(self):
+        rng = np.random.default_rng(3)
+        h_v, h_b, l_cz, l_sz = (rng.standard_normal((2, 2)) for _ in range(4))
+        lin_m = Linearization(
+            h_x=np.eye(2), h_v=h_v, h_b=h_b, meas_noise_factor=l_cz, meas_ubb_factor=l_sz
+        )
+        f_w, f_a, l_u, l_a = (rng.standard_normal((2, 2)) for _ in range(4))
+        lin_p = Linearization(
+            f_x=np.eye(2), f_w=f_w, f_a=(f_a,), process_noise_factor=l_u, ubb_process_factors=(l_a,)
+        )
+        assert_blocks_are_products(lin_p, lin_m)
+        # a part the Linearization does not hold has no blocks
+        assert lin_m.process_noise_block is None and lin_m.ubb_process_blocks == ()
+        assert all(getattr(lin_p, name) is None for name in MEAS_BLOCKS)
 
 
 class TestLinearizeMeasurement:

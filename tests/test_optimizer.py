@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from skf.optimizer import OptimizerError, ScalarProblem, minimize_scalar
+from skf.optimizer import BRACKET, Limit, OptimizerError, ScalarProblem, minimize_scalar
 
 
 def parts(value, slope):
@@ -185,3 +185,74 @@ class TestRegimes:
         assert result.regime == "interior"
         assert result.evals == 3
         assert np.log(result.beta) == pytest.approx(16.0, abs=1e-12)
+
+
+class TestLimitEnds:
+    """Bracket ends given in closed form, as the filter's kink tests give them."""
+
+    @staticmethod
+    def flat_tails(calls):
+        # the objective of the linear-fractional test above, recording its betas
+        def objective(b):
+            calls.append(b)
+            ratio = (4.0 * b + 0.01) / (b + 1.0)
+            return np.log(ratio) ** 2, ratio, 1.0 / ratio
+
+        return objective
+
+    # G = 2 log ratio tends to 2 log 0.01 as beta -> 0 and 2 log 4 as beta -> inf
+    LOWER = Limit(2.0 * math.log(0.01), math.log(0.01) ** 2)
+    UPPER = Limit(2.0 * math.log(4.0), math.log(4.0) ** 2)
+
+    def test_two_limit_ends_need_two_evaluations(self):
+        # a bisection step, then the fit through both limits lands on the zero
+        calls = []
+        result = minimize_scalar(
+            ScalarProblem(objective=self.flat_tails(calls), limits=(self.LOWER, self.UPPER))
+        )
+        assert result.regime == "interior"
+        assert result.evals == len(calls) <= 2
+        assert np.log(result.beta) == pytest.approx(np.log(0.99 / 3.0), abs=1e-10)
+        assert all(-20.0 < np.log(b) < 20.0 for b in calls)  # no end was evaluated
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_one_limit_end_is_not_evaluated(self, side):
+        # the other end is evaluated, and the fixed-point step starts from it
+        calls = []
+        limits = (self.LOWER, None) if side == 0 else (None, self.UPPER)
+        result = minimize_scalar(ScalarProblem(objective=self.flat_tails(calls), limits=limits))
+        assert result.regime == "interior"
+        assert result.evals == len(calls) <= 4  # one end fewer than without limits
+        assert np.log(result.beta) == pytest.approx(np.log(0.99 / 3.0), abs=1e-10)
+        assert math.exp(BRACKET[side]) not in calls
+        assert math.exp(BRACKET[1 - side]) == calls[0]
+
+    def test_zero_beyond_a_limit_end_evaluates_that_end(self):
+        # sqrt(up/down) = (4 beta + 0.01 d)/(beta + d) with d = e^26: G has not
+        # reached its limit 2 log 4 by t = 20, where it is still negative, and
+        # its zero lies at t = 24.9. The fit steps out through the limit end,
+        # which is then evaluated: the cost descends to it, as without limits
+        def objective(b):
+            ratio = (4.0 * b + 0.01 * math.exp(26.0)) / (b + math.exp(26.0))
+            return np.log(ratio) ** 2, ratio, 1.0 / ratio
+
+        upper = Limit(2.0 * math.log(4.0), math.log(4.0) ** 2)
+        result = minimize_scalar(ScalarProblem(objective=objective, limits=(None, upper)))
+        full = minimize_scalar(ScalarProblem(objective=objective))
+        assert (result.beta, result.regime) == (full.beta, full.regime) == (math.exp(20.0), "upper")
+        assert result.value == full.value  # the cost at the end, not at its limit
+        assert result.evals <= 4  # the lower end, a fixed-point and a bisection step, the end
+
+    def test_limit_end_takes_part_in_the_regime_rule(self):
+        # J = 1 + beta rises: its upper limit points inward, the lower end does
+        # not, and the values agree, so the lower end is returned unsearched
+        result = minimize_scalar(
+            ScalarProblem(objective=lambda b: (1 + b, b, 0.0), limits=(None, Limit(1.0, 1e9)))
+        )
+        assert (result.beta, result.regime, result.evals) == (math.exp(-20.0), "lower", 1)
+
+    def test_non_finite_limit_raises(self):
+        with pytest.raises(OptimizerError, match="limit"):
+            minimize_scalar(
+                ScalarProblem(objective=lambda b: (1 + b, b, 0.0), limits=(Limit(math.inf, 1.0), None))
+            )

@@ -42,7 +42,7 @@ from skf.filter import (
     skf_update,
 )
 from skf.model import AnalyticJacobians, Linearization, NonlinearModel, linearize_measurement
-from skf.optimizer import ScalarProblem, minimize_scalar
+from skf.optimizer import BRACKET, ScalarProblem, minimize_scalar
 from skf.validation import _CONTAINMENT_TOL, _linear_system, _recursion_forms
 
 ROUNDING = 64 * np.finfo(float).eps
@@ -407,7 +407,7 @@ def test_kink_tests_agree_with_the_search(problem):
     # a certified regime is the one the search ends in; an uncertified square
     # problem has an interior minimizer, and the search finds it
     _, _, _, ctx = problem
-    regime, gain, ratios = certify(ctx)
+    regime, gain, ratios, _ = certify(ctx)
     result = minimize_scalar(ScalarProblem(objective=_beta_cost(ctx)))
     if regime is None:
         assert result.regime == "interior"
@@ -418,12 +418,36 @@ def test_kink_tests_agree_with_the_search(problem):
 
 
 @PROPERTY
+@given(square_problems())
+def test_search_from_the_kink_limits_meets_the_full_search(problem):
+    # an uncertified update searches from the limit ends its kink tests give,
+    # never evaluating them; a search that evaluates both ends agrees on
+    # the regime and, within the search's accuracy, on beta
+    _, _, _, ctx = problem
+    regime, _, _, limits = certify(ctx)
+    assume(regime is None)
+    calls = []
+    cost = _beta_cost(ctx)
+
+    def objective(beta):
+        calls.append(beta)
+        return cost(beta)
+
+    from_limits = minimize_scalar(ScalarProblem(objective=objective, limits=limits))
+    full = minimize_scalar(ScalarProblem(objective=cost))
+    assert from_limits.regime == full.regime
+    assert abs(np.log(from_limits.beta) - np.log(full.beta)) <= 1e-7
+    given_ends = [np.exp(t) for t, limit in zip(BRACKET, limits) if limit is not None]
+    assert not set(given_ends) & set(calls)
+
+
+@PROPERTY
 @given(square_problems(), st.integers(0, 2**32 - 1))
 def test_certified_gain_minimizes_the_reduced_cost(problem, seed):
     # the certificate: J* at the certified limit gain is not above J* at any
     # nearby gain, up to the rounding of J*
     belief, lin, eta, ctx = problem
-    regime, gain, _ = certify(ctx)
+    regime, gain, _, _ = certify(ctx)
     assume(regime is not None)
     at_kink = reduced_cost(belief, lin, eta, gain)
     rng = np.random.default_rng(seed)
@@ -439,7 +463,7 @@ def test_scalar_kink_tests_certify_exactly_without_interior_zero(spreads, maps, 
     # beta* of scalar_update is the only zero of the slope: the kink tests
     # certify exactly where it is not a positive beta, with the search's regime
     ctx, beta_star = scalar_update(spreads, maps, eta)
-    regime, _, _ = certify(ctx)
+    regime, _, _, _ = certify(ctx)
     assert (regime is None) == (beta_star > 0)
     if regime is not None:
         result = minimize_scalar(ScalarProblem(objective=_beta_cost(ctx)))
